@@ -15,7 +15,13 @@ import click
 import numpy as np
 
 from . import contract, curve as curve_mod, extend, flow as flow_mod, repar
-from .errors import ConfigError, ContractFlowError, InsufficientRegularity
+from .errors import (
+    ConditionCFailed,
+    ConfigError,
+    ContractFlowError,
+    HorizonOverflow,
+    InsufficientRegularity,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,6 +105,18 @@ def _build_plan(cfg: PipelineConfig, crv, c0: float):
     return repar.zeta_plan(crv, c0, tdb.zeta), reg
 
 
+def _flow_horizon(crv, plan) -> float:
+    """Flow time compared against the curve: theta(t_{N-2}), for every plan kind.
+
+    Raises HorizonOverflow when it does not fit in float64 (huge rates b).
+    """
+    horizon = float(plan.theta(crv.params[-2]))
+    if not math.isfinite(horizon):
+        raise HorizonOverflow(f"flow horizon theta(t_(N-2)) overflows float64 "
+                              f"at rate b = {plan.b:.6g}")
+    return horizon
+
+
 @dataclass
 class PipelineReport:
     config: dict
@@ -178,6 +196,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         "alpha": cfg.alpha, "L": plan.L,
         "T": None if math.isinf(plan.T) else plan.T}))
     mrep = repar.verify_M(crv, plan)
+    try:
+        horizon = _flow_horizon(crv, plan) if mrep.holds else None
+    except HorizonOverflow as exc:
+        report.add("repar", False, kind=plan.kind, error=str(exc), **mrep.to_json_dict())
+        return report
     if not report.add("repar", mrep.holds, kind=plan.kind, **mrep.to_json_dict()):
         return report
 
@@ -193,10 +216,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         report.add("flow", False, error="smoothing eps is 0; flows need eps > 0")
         return report
 
-    if plan.kind == "exp":
-        horizon = plan.T
-    else:
-        horizon = float(plan.theta(crv.params[-2]))
     rep_curve = repar.reparameterize(crv, plan, cfg.n_out, horizon)
     traj = flow_mod.integrate(ext, rep_curve.points[0], horizon,
                               cfg.dt_factor * horizon)
@@ -440,9 +459,16 @@ def flow_cmd(ext_path, x0, t_end, dt, output):
 def roundtrip_cmd(output, **kwargs):
     """Reparameterize, integrate the extension flow, compare; exit 6 on miss."""
     cfg, crv, plan = _plan_from_cli(kwargs)
-    jet = extend.curve_jet(crv, plan)
-    ext = extend.build_extension(jet, smoothing_eps=cfg.eps, eps_rel=cfg.eps_rel)
-    horizon = plan.T if plan.kind == "exp" else float(plan.theta(crv.params[-2]))
+    try:
+        horizon = _flow_horizon(crv, plan)
+        ext = extend.build_extension(extend.curve_jet(crv, plan), smoothing_eps=cfg.eps,
+                                     eps_rel=cfg.eps_rel)
+    except HorizonOverflow as exc:
+        click.echo(f"plan construction failed: {exc}", err=True)
+        sys.exit(EXIT_M)
+    except ConditionCFailed as exc:
+        click.echo(f"extension failed: {exc}", err=True)
+        sys.exit(EXIT_C)
     rep_curve = repar.reparameterize(crv, plan, cfg.n_out, horizon)
     traj = flow_mod.integrate(ext, rep_curve.points[0], horizon,
                               cfg.dt_factor * horizon)

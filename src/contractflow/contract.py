@@ -8,11 +8,11 @@ runs on a stratified random subsample as a cross-check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._scan import pairwise_min
+from ._scan import pairwise_min, tangent_chord
 from .curve import Curve, RegularityEstimate
 from .errors import BoundViolated, NotStronglyContracted
 
@@ -62,30 +62,21 @@ class ContractReport:
         }
 
 
-def _pairwise_worst(curve: Curve):
-    """Min over grid pairs i<j of <T_i, P_j - P_i> / (t_j - t_i), with witness."""
-    t, P, T = curve.params, curve.points, curve.tangents
-    n = len(t)
-
-    def block(i0, i1):
-        ip = T[i0:i1] @ P.T - np.einsum("id,id->i", T[i0:i1], P[i0:i1])[:, None]
-        gaps = t[None, :] - t[i0:i1, None]
-        q = np.full_like(ip, np.inf)
-        valid = gaps > 0
-        q[valid] = ip[valid] / gaps[valid]
-        return q
-
-    qmin, i, j = pairwise_min(block, n)
-    return qmin, (float(t[i]), float(t[j]), qmin)
-
-
 def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
     """Differential pairwise check: strictly positive inner products.
 
     Strongly self-contracted iff <T_i, P_j - P_i> > tol * (t_j - t_i) for all
     grid pairs i < j; a value below -tol * gap disproves self-contractedness.
+    The worst pair minimizes <T_i, P_j - P_i> / (t_j - t_i).
     """
-    qmin, worst = _pairwise_worst(curve)
+    t = curve.params
+
+    def block(i0, i1):
+        ip, gaps = tangent_chord(curve, i0, i1)
+        return np.divide(ip, gaps, out=np.full_like(ip, np.inf), where=gaps > 0)
+
+    qmin, i, j = pairwise_min(block, len(t))
+    worst = (float(t[i]), float(t[j]), qmin)
     if qmin > tol:
         level = ContractLevel.STRONGLY
     elif qmin >= -tol:
@@ -102,12 +93,20 @@ def estimate_c0(curve: Curve, deflation: float = 0.9, tol: float = STRICT_TOL) -
     fails only on a boundary pair); raises NotStronglyContracted when the
     curve is not even self-contracted on the grid.
     """
-    qmin, _ = _pairwise_worst(curve)
-    if qmin < -tol:
+    strong = check_strong(curve, tol=tol)
+    if strong.level == ContractLevel.NOT_SELF_CONTRACTED:
+        qmin = strong.worst_pair[2]
         raise NotStronglyContracted(f"pairwise minimum {qmin:.3g} is negative")
-    if qmin <= tol:
-        return 0.0
-    return deflation * qmin
+    return upgrade_uniform(strong, deflation).c0
+
+
+def upgrade_uniform(strong: ContractReport, deflation: float = 0.9) -> ContractReport:
+    """Lift a STRONGLY report to UNIFORMLY_STRONGLY, c0 from its own pairwise min."""
+    if strong.level != ContractLevel.STRONGLY:
+        return strong
+    c0 = deflation * strong.worst_pair[2]
+    level = ContractLevel.UNIFORMLY_STRONGLY if c0 > 0.0 else ContractLevel.STRONGLY
+    return replace(strong, level=level, c0=c0)
 
 
 def check_self_contracted_metric(curve: Curve, n_triples: int,
@@ -154,18 +153,11 @@ def classify(curve: Curve, n_triples: int = 100_000, seed: int = 0,
              tol: float = STRICT_TOL) -> ContractReport:
     """Full hierarchy decision: metric cross-check, pairwise level, c0."""
     metric = check_self_contracted_metric(curve, n_triples, seed=seed)
-    strong = check_strong(curve, tol=tol)
+    strong = upgrade_uniform(check_strong(curve, tol=tol))
     # the metric cross-check can only veto; the pairwise scan sets the level
-    level = strong.level
     if metric.level == ContractLevel.NOT_SELF_CONTRACTED:
-        level = ContractLevel.NOT_SELF_CONTRACTED
-    c0 = 0.0
-    if level == ContractLevel.STRONGLY:
-        c0 = estimate_c0(curve, tol=tol)
-        if c0 > 0.0:
-            level = ContractLevel.UNIFORMLY_STRONGLY
-    return ContractReport(level=level, c0=c0, worst_pair=strong.worst_pair,
-                          worst_triple=metric.worst_triple, tol=tol)
+        strong = replace(strong, level=ContractLevel.NOT_SELF_CONTRACTED, c0=0.0)
+    return replace(strong, worst_triple=metric.worst_triple)
 
 
 @dataclass(frozen=True)
@@ -186,18 +178,16 @@ class TaylorReport:
 
 def _taylor_scan(curve: Curve, constant: float, power: float):
     t, P, T = curve.params, curve.points, curve.tangents
-    n = len(t)
 
     def block(i0, i1):
-        ip = T[i0:i1] @ P.T - np.einsum("id,id->i", T[i0:i1], P[i0:i1])[:, None]
-        gaps = t[None, :] - t[i0:i1, None]
+        ip, gaps = tangent_chord(curve, i0, i1)
         out = np.full_like(ip, np.inf)
         valid = gaps > 0
         g = gaps[valid]
         out[valid] = ip[valid] - (g - constant * g**power)
         return out
 
-    worst, i, j = pairwise_min(block, n)
+    worst, i, j = pairwise_min(block, len(t))
     gap = t[j] - t[i]
     lhs = float(T[i] @ (P[j] - P[i]))
     rhs = float(gap - constant * gap**power)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from ._scan import map_blocks
 from .errors import (
     DegenerateCurve,
     DuplicatePoint,
@@ -398,12 +399,16 @@ def holder_seminorm(curve: Curve, alpha: float,
         raise ValueError("alpha must lie in (1/2, 1]")
     if curve.n_samples < 2:
         raise ValueError("need at least 2 samples")
-    t = curve.params
-    T = curve.tangents
-    iu, ju = np.triu_indices(len(t), k=1)
-    gaps = t[ju] - t[iu]
-    diffs = np.linalg.norm(T[ju] - T[iu], axis=1)
-    sem = safety_factor * float((diffs / gaps**alpha).max())
+    t, T = curve.params, curve.tangents
+
+    def block_max(i0, i1):
+        # rows i0:i1 against the columns j > i0; pairs j <= i are masked out
+        gaps = t[None, i0 + 1:] - t[i0:i1, None]
+        diffs = np.linalg.norm(T[None, i0 + 1:] - T[i0:i1, None], axis=2)
+        valid = gaps > 0
+        return float((diffs[valid] / gaps[valid]**alpha).max())
+
+    sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
     c1 = sem * sem / (2.0 * (2.0 * alpha + 1.0))
     return RegularityEstimate(alpha=alpha, holder_seminorm=sem, c1=c1,
                               safety_factor=safety_factor)

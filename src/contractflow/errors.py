@@ -53,6 +53,10 @@ class HorizonExceedsT(ContractFlowError):
     """Requested reparameterization horizon exceeds the total flow time."""
 
 
+class HorizonOverflow(ContractFlowError):
+    """The flow horizon theta(t_{N-2}) is not finite in float64."""
+
+
 class ConditionCFailed(ContractFlowError):
     """Jet does not satisfy the first-order convexity condition."""
 

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._scan import block_argmin, map_blocks
 from .curve import Curve
 from .errors import ConditionCFailed
 from .repar import ReparamPlan
+
+CW1_TOL = 1e-9  # equality band of (CW1), relative to max|f|
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,7 @@ class JetData:
     anchors: np.ndarray
     values: np.ndarray
     gradients: np.ndarray
+    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.anchors, dtype=float)
@@ -71,12 +75,35 @@ class ConditionCReport:
                 "witness": list(self.witness), "scale": self.scale}
 
 
-def _slack_matrix(jet: JetData) -> np.ndarray:
-    # slack[i, j] = f_i - f_j - <G_j, x_i - x_j>
-    f, x, g = jet.values, jet.anchors, jet.gradients
-    cross = x @ g.T  # cross[i, j] = <x_i, G_j>
-    own = np.einsum("id,id->i", x, g)  # <x_j, G_j>
-    return f[:, None] - f[None, :] - (cross - own[None, :])
+def _slack_scan(jet: JetData, tol: float) -> tuple:
+    """One blocked pass over slack[i, j] = f_i - f_j - <G_j, x_i - x_j>, i != j.
+
+    Returns (min, i, j), the minima over j > i and over j < i, the count of
+    pairs with |slack| <= tol max|f| and (-gap, i, j) of their widest gradient
+    gap; witnesses are the first in row-major order. Memoized on the jet,
+    whose arrays are read-only, so check_C, check_CW1 and build_extension
+    share one scan.
+    """
+    if tol not in jet._scans:
+        f, x, g = jet.values, jet.anchors, jet.gradients
+        own = np.einsum("id,id->i", x, g)  # <x_j, G_j>
+        band = tol * max(float(np.abs(f).max()), 1e-300)
+
+        def block(i0, i1):
+            slack = f[i0:i1, None] - f[None, :] - (x[i0:i1] @ g.T - own[None, :])
+            np.fill_diagonal(slack[:, i0:], np.inf)  # the diagonal is not a pair
+            above = np.arange(len(f))[None, :] > np.arange(i0, i1)[:, None]
+            r, c = np.nonzero(np.abs(slack) <= band)
+            neg_gap = np.full_like(slack, np.inf)
+            neg_gap[r, c] = -np.linalg.norm(g[i0 + r] - g[c], axis=1)
+            return (block_argmin(slack, i0), np.min(slack, where=above, initial=np.inf),
+                    np.min(slack, where=~above, initial=np.inf), len(r),
+                    block_argmin(neg_gap, i0))
+
+        least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f)))
+        jet._scans[tol] = (min(least), float(min(step1)), float(min(step2)),
+                           sum(n_equal), min(widest))
+    return jet._scans[tol]
 
 
 def check_C(jet: JetData, rtol: float = 1e-10) -> ConditionCReport:
@@ -87,17 +114,8 @@ def check_C(jet: JetData, rtol: float = 1e-10) -> ConditionCReport:
     different proof content: the "before" direction holds for any positive
     increasing profile, the "after" direction is exactly the (M)-inequality.
     """
-    slack = _slack_matrix(jet)
-    n = len(jet.values)
-    iu, ju = np.triu_indices(n, k=1)
-    step1 = float(slack[iu, ju].min()) if len(iu) else 0.0
-    step2 = float(slack[ju, iu].min()) if len(iu) else 0.0
-    off = ~np.eye(n, dtype=bool)
-    flat = np.where(off, slack, np.inf)
-    w = int(np.argmin(flat))
-    wi, wj = divmod(w, n)
+    (min_slack, wi, wj), step1, step2, _, _ = _slack_scan(jet, CW1_TOL)
     scale = float(np.abs(jet.values).max())
-    min_slack = float(flat[wi, wj])
     passed = bool(min_slack >= -rtol * scale)
     return ConditionCReport(passed=passed, min_slack=min_slack, step1_min=step1,
                             step2_min=step2, witness=(wi, wj, min_slack),
@@ -115,24 +133,17 @@ class ConditionCW1Report:
                 "witness": list(self.witness) if self.witness else None}
 
 
-def check_CW1(jet: JetData, tol: float = 1e-9) -> ConditionCW1Report:
+def check_CW1(jet: JetData, tol: float = CW1_TOL) -> ConditionCW1Report:
     """Equality pairs of condition (C) must share their gradient.
 
     With a strict (M)-margin the nontrivial equality set is empty; exact ties
     (e.g. underflowed far-tail values) pass because their gradients agree.
     """
-    slack = _slack_matrix(jet)
-    n = len(jet.values)
-    scale = max(float(np.abs(jet.values).max()), 1e-300)
-    eq = (np.abs(slack) <= tol * scale) & ~np.eye(n, dtype=bool)
-    idx = np.argwhere(eq)
-    if len(idx) == 0:
+    _, _, _, count, (neg_gap, i, j) = _slack_scan(jet, tol)
+    if count == 0:
         return ConditionCW1Report(passed=True, n_equality_pairs=0, witness=None)
-    gaps = np.linalg.norm(jet.gradients[idx[:, 0]] - jet.gradients[idx[:, 1]], axis=1)
-    w = int(np.argmax(gaps))
-    passed = bool(gaps[w] <= tol)
-    return ConditionCW1Report(passed=passed, n_equality_pairs=int(len(idx)),
-                              witness=(int(idx[w, 0]), int(idx[w, 1]), float(gaps[w])))
+    return ConditionCW1Report(passed=bool(-neg_gap <= tol), n_equality_pairs=count,
+                              witness=(i, j, -neg_gap))
 
 
 @dataclass(frozen=True)

@@ -137,15 +137,7 @@ def check_flow_self_contracted(f_grad, x0, t_end: float, dt: float | None = None
         raise ValueError("trajectory has fewer than 3 distinct points; "
                          "start away from a stationary point")
     orbit = from_samples(pts, n_resample)
-    report = contract.check_strong(orbit)
-    if report.level == contract.ContractLevel.STRONGLY:
-        c0 = contract.estimate_c0(orbit)
-        level = (contract.ContractLevel.UNIFORMLY_STRONGLY if c0 > 0.0
-                 else contract.ContractLevel.STRONGLY)
-        report = contract.ContractReport(level=level, c0=c0,
-                                         worst_pair=report.worst_pair,
-                                         worst_triple=None, tol=report.tol)
-    return report
+    return contract.upgrade_uniform(contract.check_strong(orbit))
 
 
 @dataclass(frozen=True)

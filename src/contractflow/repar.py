@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from ._scan import pairwise_min
+from ._scan import pairwise_min, tangent_chord
 from .curve import Curve, RegularityEstimate
 from .errors import (
     DivergentA,
@@ -221,22 +221,17 @@ def endpoint_plan(curve: Curve, c0: float, c1_cubic: float,
 
 
 def _check_zeta_hypothesis(curve: Curve, zeta) -> None:
-    t, P, T = curve.params, curve.points, curve.tangents
-    n = len(t)
+    t = curve.params
     zvals = np.asarray(zeta(t), dtype=float)
 
     def block(i0, i1):
-        ip = T[i0:i1] @ P.T - np.einsum("id,id->i", T[i0:i1], P[i0:i1])[:, None]
-        gaps = t[None, :] - t[i0:i1, None]
-        out = np.full_like(ip, np.inf)
+        ip, gaps = tangent_chord(curve, i0, i1)
         valid = gaps > 0
         with np.errstate(invalid="ignore"):
             bound = 1.0 - zvals[None, :] * gaps**2
-        slack = ip / np.where(valid, gaps, 1.0) - bound
-        out[valid] = slack[valid]
-        return out
+        return np.where(valid, ip / np.where(valid, gaps, 1.0) - bound, np.inf)
 
-    worst, i, j = pairwise_min(block, n)
+    worst, i, j = pairwise_min(block, len(t))
     if worst < -1e-9:
         raise HypothesisViolated(
             f"zeta bound fails by {worst:.3g} at (t, s) = ({t[i]:.6g}, {t[j]:.6g})")
@@ -375,18 +370,14 @@ def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:
     For endpoint/zeta kinds pairs with s = L are excluded: the inequality is
     only required for s < L there.
     """
-    t, P, T = curve.params, curve.points, curve.tangents
+    t = curve.params
     n = len(t)
     jmax = n if plan.kind == "exponential" else n - 1
 
     def block(i0, i1):
-        ip = T[i0:i1] @ P[:jmax].T - np.einsum("id,id->i", T[i0:i1], P[i0:i1])[:, None]
-        gaps = t[None, :jmax] - t[i0:i1, None]
-        valid = gaps > 0
+        ip, gaps = tangent_chord(curve, i0, i1, jmax)
         lhs = plan.lhs_M(t[i0:i1, None], np.broadcast_to(t[None, :jmax], ip.shape))
-        out = np.full_like(ip, np.inf)
-        out[valid] = (ip - lhs)[valid]
-        return out
+        return np.where(gaps > 0, ip - lhs, np.inf)
 
     margin, i, j = pairwise_min(block, n)
     t0, s0 = float(t[i]), float(t[j])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ class TestRun:
         doc = json.loads(res.output)
         assert doc["stages"][-1]["name"] == "contract"
         assert doc["stages"][-1]["data"]["level"] == "not_self_contracted"
+
+    def test_horizon_overflow_fails_repar_with_exit_4(self, runner):
+        # the default spiral certifies b ~ 2.6e7, so theta(t_{N-2}) overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["run", "--gen", "spiral"])
+            rt = runner.invoke(main, ["roundtrip", "--gen", "spiral"])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert res.exit_code == 4, res.output
+        doc = json.loads(res.output)
+        assert [s["name"] for s in doc["stages"]][-1] == "repar"
+        assert doc["stages"][-1]["passed"] is False
+        assert "overflows" in doc["stages"][-1]["data"]["error"]
+        assert rt.exit_code == 4
+        assert "overflows" in rt.output and "Traceback" not in rt.output
 
     def test_bad_alpha_exits_2(self, runner):
         res = runner.invoke(main, ["run", "--alpha", "0.4", "--gen", "segment"])
@@ -171,6 +187,13 @@ class TestExtensionCommands:
                                    "--x0", "0,0", "--t-end", "1.0",
                                    "--dt", "0.01", "-o", str(tmp_path / "t.csv")])
         assert res.exit_code == 2
+
+    def test_roundtrip_condition_C_failure_exits_5(self, runner):
+        res = runner.invoke(main, ["roundtrip", "--gen", "circle", "--b", "0.05"])
+        assert res.exit_code == 5
+        assert isinstance(res.exception, SystemExit)  # no escaped ConditionCFailed
+        assert len(res.output.strip().splitlines()) == 1
+        assert "condition (C) fails" in res.output
 
     def test_roundtrip_command(self, runner):
         res = runner.invoke(main, ["roundtrip", "--gen", "segment", "--n", "100"])
