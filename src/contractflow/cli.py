@@ -10,18 +10,13 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import click
 import numpy as np
 
 from . import contract, curve as curve_mod, extend, flow as flow_mod, repar
-from .errors import (
-    ConditionCFailed,
-    ConfigError,
-    ContractFlowError,
-    HorizonOverflow,
-    InsufficientRegularity,
-)
+from .errors import BlowUp, ConfigError, ContractFlowError, HorizonOverflow
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,14 +56,11 @@ class PipelineConfig:
             raise ConfigError("exactly one of --gen and --input is required")
         if not 0.5 < self.alpha <= 1.0:
             raise ConfigError("alpha must lie in (1/2, 1]")
-        positive = {"n_samples": self.n_samples, "safety": self.safety,
-                    "eps_rel": self.eps_rel, "dt_factor": self.dt_factor,
-                    "n_out": self.n_out, "n_triples": self.n_triples,
-                    "lam": self.lam, "tmax": self.tmax, "angle": self.angle,
-                    "radius": self.radius, "seg_length": self.seg_length,
-                    "roundtrip_tol": self.roundtrip_tol}
-        for name, val in positive.items():
-            if not val > 0:
+        if not self.n_samples >= 3:
+            raise ConfigError("n_samples must be at least 3")
+        for name in ("safety", "eps_rel", "dt_factor", "n_out", "n_triples", "lam",
+                     "tmax", "angle", "radius", "seg_length", "roundtrip_tol"):
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.plan_kind not in ("exp", "endpoint", "zeta"):
             raise ConfigError("plan kind must be exp, endpoint, or zeta")
@@ -124,6 +116,8 @@ class PipelineReport:
     constants: dict = field(default_factory=dict)
     passed: bool = False
     exit_code: int = EXIT_OK
+    # the stages' result objects (curve, plan, reports, extension, ...); not rendered
+    results: dict = field(default_factory=dict, repr=False)
 
     def add(self, name: str, passed: bool, **data) -> bool:
         self.stages.append({"name": name, "passed": bool(passed),
@@ -170,143 +164,209 @@ def _jsonable(obj):
     return obj
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
-    """curve -> contract -> repar(+verify_M) -> extend(+C/CW1) -> flow(+roundtrip)."""
-    cfg.validate()
-    report = PipelineReport(config=asdict(cfg))
+# ---------------------------------------------------------------------------
+# pipeline stages: each reads earlier results from report.results, stores its
+# own there, fills its stage entry's ``data`` and returns whether it passed
 
+def _curve_stage(cfg, report, data) -> bool:
     crv = build_curve(cfg)
-    report.add("curve", True, dim=crv.dim, n_samples=crv.n_samples,
-               length=crv.length, source=crv.source)
+    if crv.n_samples < 3:
+        raise ValueError("a curve needs at least 3 samples")
+    report.results["curve"] = crv
+    data.update(dim=crv.dim, n_samples=crv.n_samples, length=crv.length,
+                source=crv.source)
+    return True
 
-    crep = contract.classify(crv, n_triples=cfg.n_triples, seed=cfg.seed)
+
+def _contract_stage(cfg, report, data) -> bool:
+    crep = contract.classify(report.results["curve"], n_triples=cfg.n_triples,
+                             seed=cfg.seed)
+    report.results["contract"] = crep
     report.constants["c0"] = _jsonable(crep.c0)
-    ok = report.add("contract", crep.level == contract.ContractLevel.UNIFORMLY_STRONGLY,
-                    **crep.to_json_dict())
-    if not ok:
-        return report
+    data.update(crep.to_json_dict())
+    return crep.level == contract.ContractLevel.UNIFORMLY_STRONGLY
 
-    try:
-        plan, reg = _build_plan(cfg, crv, crep.c0)
-    except (InsufficientRegularity, ValueError, ContractFlowError) as exc:
-        report.add("repar", False, error=str(exc))
-        return report
+
+def _repar_stage(cfg, report, data) -> bool:
+    res = report.results
+    crv = res["curve"]
+    plan, reg = _build_plan(cfg, crv, res["contract"].c0)
+    res["plan"] = plan
     report.constants.update(_jsonable({
         "b": plan.b, "c1": None if reg is None else reg.c1,
         "alpha": cfg.alpha, "L": plan.L,
         "T": None if math.isinf(plan.T) else plan.T}))
-    mrep = repar.verify_M(crv, plan)
-    try:
-        horizon = _flow_horizon(crv, plan) if mrep.holds else None
-    except HorizonOverflow as exc:
-        report.add("repar", False, kind=plan.kind, error=str(exc), **mrep.to_json_dict())
-        return report
-    if not report.add("repar", mrep.holds, kind=plan.kind, **mrep.to_json_dict()):
-        return report
+    mrep = res["M"] = repar.verify_M(crv, plan)
+    data.update(kind=plan.kind, **mrep.to_json_dict())
+    if mrep.holds:
+        res["horizon"] = _flow_horizon(crv, plan)
+    return mrep.holds
 
-    jet = extend.curve_jet(crv, plan)
-    c_rep = extend.check_C(jet)
-    cw_rep = extend.check_CW1(jet)
-    if not report.add("extend", c_rep.passed and cw_rep.passed,
-                      condition_C=c_rep.to_json_dict(),
-                      condition_CW1=cw_rep.to_json_dict()):
-        return report
-    ext = extend.build_extension(jet, smoothing_eps=cfg.eps, eps_rel=cfg.eps_rel)
-    if ext.smoothing_eps <= 0.0:
-        report.add("flow", False, error="smoothing eps is 0; flows need eps > 0")
-        return report
 
-    rep_curve = repar.reparameterize(crv, plan, cfg.n_out, horizon)
+def _extend_stage(cfg, report, data) -> bool:
+    res = report.results
+    jet = extend.curve_jet(res["curve"], res["plan"])
+    c_rep = res["condition_C"] = extend.check_C(jet)
+    cw_rep = res["condition_CW1"] = extend.check_CW1(jet)
+    data.update(condition_C=c_rep.to_json_dict(), condition_CW1=cw_rep.to_json_dict())
+    if not (c_rep.passed and cw_rep.passed):
+        return False
+    res["extension"] = extend.build_extension(jet, smoothing_eps=cfg.eps,
+                                              eps_rel=cfg.eps_rel)
+    return True
+
+
+def _flow_stage(cfg, report, data) -> bool:
+    res = report.results
+    ext, horizon = res["extension"], res["horizon"]
+    rep_curve = repar.reparameterize(res["curve"], res["plan"], cfg.n_out, horizon)
     traj = flow_mod.integrate(ext, rep_curve.points[0], horizon,
                               cfg.dt_factor * horizon)
-    metrics = flow_mod.roundtrip_error(traj, rep_curve)
-    ok = report.add("flow", metrics.sup_distance <= cfg.roundtrip_tol,
-                    horizon=horizon, eps=ext.smoothing_eps,
-                    final_speed=float(traj.speeds[-1]), **metrics.to_json_dict())
-    report.passed = ok
+    metrics = res["roundtrip"] = flow_mod.roundtrip_error(traj, rep_curve)
+    data.update(horizon=horizon, eps=ext.smoothing_eps,
+                final_speed=float(traj.speeds[-1]), **metrics.to_json_dict())
+    return metrics.sup_distance <= cfg.roundtrip_tol
+
+
+_STAGES = {"curve": _curve_stage, "contract": _contract_stage,
+           "repar": _repar_stage, "extend": _extend_stage, "flow": _flow_stage}
+
+
+def run_pipeline(cfg: PipelineConfig, stop_after: str = "flow") -> PipelineReport:
+    """curve -> contract -> repar(+verify_M) -> extend(+C/CW1) -> flow(+roundtrip).
+
+    Runs the stages in order until one fails or ``stop_after`` has run. A
+    ContractFlowError or ValueError raised inside a stage fails that stage,
+    with its message as the stage's ``error``.
+    """
+    cfg.validate()
+    report = PipelineReport(config=asdict(cfg))
+    for name, stage in _STAGES.items():
+        data = {}
+        try:
+            passed = stage(cfg, report, data)
+        except (ContractFlowError, ValueError) as exc:
+            passed, data["error"] = False, str(exc)
+        if not report.add(name, passed, **data) or name == stop_after:
+            break
+    report.passed = all(st["passed"] for st in report.stages)
     return report
 
 
 # ---------------------------------------------------------------------------
 # click commands
 
-def _curve_options(fn):
-    opts = [
-        click.option("--input", "input_path", type=click.Path(exists=True),
-                     help="Curve CSV/JSON file."),
-        click.option("--gen", "generator",
-                     type=click.Choice(["segment", "circle", "spiral"]),
-                     help="Generate a test curve."),
-        click.option("--lambda", "lam", type=float, default=0.5,
-                     help="Spiral decay rate."),
-        click.option("--tmax", type=float, default=4.0 * math.pi,
-                     help="Spiral parameter range."),
-        click.option("--angle", type=float, default=math.pi / 2,
-                     help="Circle arc angle."),
-        click.option("--radius", type=float, default=1.0),
-        click.option("--seg-length", type=float, default=1.0,
-                     help="Segment length."),
-        click.option("--n", "n_samples", type=int, default=200,
-                     help="Arc-length samples."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+def _options(*opts):
+    """One decorator applying ``opts`` in the order listed."""
+    def apply(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+    return apply
 
 
-def _plan_options(fn):
-    opts = [
-        click.option("--kind", "--plan", "plan_kind",
-                     type=click.Choice(["exp", "endpoint", "zeta"]), default="exp"),
-        click.option("--alpha", type=float, default=1.0),
-        click.option("--safety", type=float, default=1.25),
-        click.option("--b", "b_override", type=float, default=None,
-                     help="Bypass the certified rate formula."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+# PipelineConfig holds every default: an option left unset stays None and
+# _cfg drops it. Each group adds the options of one more stage.
+_curve_options = _options(
+    click.option("--input", "input_path", type=click.Path(exists=True),
+                 help="Curve CSV/JSON file."),
+    click.option("--gen", "generator",
+                 type=click.Choice(["segment", "circle", "spiral"]),
+                 help="Generate a test curve."),
+    click.option("--lambda", "lam", type=float, help="Spiral decay rate."),
+    click.option("--tmax", type=float, help="Spiral parameter range."),
+    click.option("--angle", type=float, help="Circle arc angle."),
+    click.option("--radius", type=float),
+    click.option("--seg-length", type=float, help="Segment length."),
+    click.option("--n", "n_samples", type=int, help="Arc-length samples."),
+)
+_plan_options = _options(
+    _curve_options,
+    click.option("--kind", "--plan", "plan_kind",
+                 type=click.Choice(["exp", "endpoint", "zeta"])),
+    click.option("--alpha", type=float),
+    click.option("--safety", type=float),
+    click.option("--b", "b_override", type=float,
+                 help="Bypass the certified rate formula."),
+)
+_extend_options = _options(
+    _plan_options,
+    click.option("--eps", type=float, help="Absolute smoothing."),
+    click.option("--eps-rel", type=float),
+)
+_flow_options = _options(
+    _extend_options,
+    click.option("--dt-factor", type=float),
+    click.option("--n-out", type=int),
+)
+_triple_options = _options(
+    click.option("--n-triples", type=int),
+    click.option("--seed", type=int),
+)
+_output_option = click.option("-o", "--output", type=click.Path())
+
+
+def _fail(message: str, code: int):
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
 def _cfg(kwargs) -> PipelineConfig:
-    names = set(PipelineConfig.__dataclass_fields__)
-    cfg = PipelineConfig(**{k: v for k, v in kwargs.items() if k in names and v is not None})
+    cfg = PipelineConfig(**{k: v for k, v in kwargs.items() if v is not None})
     try:
         cfg.validate()
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(f"config error: {exc}", EXIT_CONFIG)
     return cfg
+
+
+# why a stage failed when its data carries no ``error``, formatted from its data
+_STAGE_CAUSE = {"contract": "the curve is {level}, not uniformly_strongly",
+                "repar": "the (M)-inequality fails on the grid (margin {margin})",
+                "extend": "conditions (C)/(CW1) fail (min (C) slack "
+                          "{condition_C[min_slack]})"}
+
+
+def _result(report: PipelineReport, key: str):
+    """A stage result of ``report``; without it, one line naming the failed stage."""
+    if key not in report.results:
+        st = report.stages[-1]
+        cause = st["data"].get("error") or _STAGE_CAUSE[st["name"]].format(**st["data"])
+        _fail(f"{st['name']} stage failed: {cause}", report.exit_code)
+    return report.results[key]
 
 
 def _write_file(path, writer):
     try:
         writer(path)
     except OSError as exc:
-        click.echo(f"cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(f"cannot write {path}: {exc}", EXIT_CONFIG)
 
 
-def _emit(doc, out):
-    text = json.dumps(_jsonable(doc), sort_keys=True)
+def _echo(text: str, out):
+    """Print ``text``, or write it with a final newline to the file ``out``."""
     if out:
-        def write(path):
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        _write_file(out, write)
+        _write_file(out, lambda p: Path(p).write_text(text + "\n"))
     else:
         click.echo(text)
 
 
+def _emit(doc, out):
+    _echo(json.dumps(_jsonable(doc), sort_keys=True), out)
+
+
 @click.group()
 def main():
-    """Self-contracted curves as gradient flows of convex functions."""
+    """Self-contracted curves as gradient flows of convex functions.
+
+    check, build-m, verify-m, extend and roundtrip are `run` stopped at their stage.
+    """
 
 
 @main.command()
 @_curve_options
 @click.option("-o", "--output", required=True, type=click.Path())
-@click.option("--json-out", type=click.Path(), default=None,
+@click.option("--json-out", type=click.Path(),
               help="Also write the JSON form.")
 def gen(output, json_out, **kwargs):
     """Generate a curve and write it as CSV (and optionally JSON)."""
@@ -323,79 +383,67 @@ def gen(output, json_out, **kwargs):
 @click.option("--level", "wanted",
               type=click.Choice([lv.value for lv in contract.ContractLevel]),
               default="strongly", help="Required contractedness level.")
-@click.option("--n-triples", type=int, default=100_000)
-@click.option("--seed", type=int, default=0)
-@click.option("-o", "--output", type=click.Path(), default=None)
-def check(wanted, n_triples, seed, output, **kwargs):
+@_triple_options
+@_output_option
+def check(wanted, output, **kwargs):
     """Classify a curve's self-contractedness; exit 3 if below --level."""
-    cfg = _cfg(kwargs)
-    rep = contract.classify(build_curve(cfg), n_triples=n_triples, seed=seed)
-    _emit(rep.to_json_dict(), output)
-    sys.exit(EXIT_OK if rep.level >= contract.ContractLevel(wanted) else EXIT_CONTRACT)
-
-
-def _plan_from_cli(kwargs):
-    cfg = _cfg(kwargs)
-    crv = build_curve(cfg)
-    try:
-        c0 = contract.estimate_c0(crv)
-    except ContractFlowError as exc:
-        click.echo(f"contract check failed: {exc}", err=True)
-        sys.exit(EXIT_CONTRACT)
-    if c0 <= 0.0 and cfg.b_override is None:
-        click.echo("curve is not uniformly strongly self-contracted (c0 = 0)",
-                   err=True)
-        sys.exit(EXIT_CONTRACT)
-    try:
-        plan, _ = _build_plan(cfg, crv, c0)
-    except (InsufficientRegularity, ContractFlowError, ValueError) as exc:
-        click.echo(f"plan construction failed: {exc}", err=True)
-        sys.exit(EXIT_M)
-    return cfg, crv, plan
+    crep = _result(run_pipeline(_cfg(kwargs), stop_after="contract"), "contract")
+    _emit(crep.to_json_dict(), output)
+    sys.exit(EXIT_OK if crep.level >= contract.ContractLevel(wanted) else EXIT_CONTRACT)
 
 
 @main.command("build-m")
-@_curve_options
 @_plan_options
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def build_m(output, **kwargs):
-    """Construct the speed profile m and print its constants."""
-    _, _, plan = _plan_from_cli(kwargs)
-    _emit(plan.to_json_dict(), output)
+    """Construct the speed profile m and print its constants; exit 4 when (M) fails."""
+    report = run_pipeline(_cfg(kwargs), stop_after="repar")
+    _emit(_result(report, "plan").to_json_dict(), output)
+    sys.exit(report.exit_code)
 
 
 @main.command("verify-m")
-@_curve_options
 @_plan_options
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_output_option
 def verify_m(output, **kwargs):
     """Verify the (M)-inequality on the grid; exit 4 when it fails."""
-    _, crv, plan = _plan_from_cli(kwargs)
-    mrep = repar.verify_M(crv, plan)
-    doc = {"plan": plan.to_json_dict(), **mrep.to_json_dict()}
-    _emit(doc, output)
-    sys.exit(EXIT_OK if mrep.holds else EXIT_M)
+    report = run_pipeline(_cfg(kwargs), stop_after="repar")
+    mrep = _result(report, "M")
+    _emit({"plan": report.results["plan"].to_json_dict(), **mrep.to_json_dict()},
+          output)
+    sys.exit(report.exit_code)
 
 
 @main.command("extend")
-@_curve_options
-@_plan_options
-@click.option("--eps", type=float, default=None, help="Absolute smoothing.")
-@click.option("--eps-rel", type=float, default=1e-3)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_extend_options
+@_output_option
 def extend_cmd(output, **kwargs):
     """Build the convex extension; exit 5 when (C)/(CW1) fail."""
-    _, crv, plan = _plan_from_cli(kwargs)
-    jet = extend.curve_jet(crv, plan)
-    c_rep = extend.check_C(jet)
-    cw_rep = extend.check_CW1(jet)
-    if not (c_rep.passed and cw_rep.passed):
-        _emit({"condition_C": c_rep.to_json_dict(),
-               "condition_CW1": cw_rep.to_json_dict()}, None)
-        sys.exit(EXIT_C)
-    ext = extend.build_extension(jet, smoothing_eps=kwargs.get("eps"),
-                                 eps_rel=kwargs.get("eps_rel") or 1e-3)
-    _emit(ext.to_json_dict(), output)
+    report = run_pipeline(_cfg(kwargs), stop_after="extend")
+    res = report.results
+    if "extension" in res:
+        _emit(res["extension"].to_json_dict(), output)
+    else:
+        _emit({"condition_C": _result(report, "condition_C").to_json_dict(),
+               "condition_CW1": res["condition_CW1"].to_json_dict()}, None)
+    sys.exit(report.exit_code)
+
+
+def _extension_and_point(path, text: str, flag: str):
+    """A stored extension and a point of its dimension; exit 2 on bad input."""
+    try:
+        with open(path) as fh:
+            ext = extend.extension_from_json_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot read extension {path}: {exc}", EXIT_CONFIG)
+    try:
+        x = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        _fail(f"could not parse {flag} coordinates", EXIT_CONFIG)
+    dim = ext.anchors.shape[1]
+    if len(x) != dim or not np.isfinite(x).all():
+        _fail(f"{flag} needs {dim} finite coordinates, got {text}", EXIT_CONFIG)
+    return ext, x
 
 
 @main.command("eval")
@@ -404,25 +452,14 @@ def extend_cmd(output, **kwargs):
               help="Comma-separated coordinates, e.g. 0.3,0.4")
 def eval_cmd(ext_path, at_point):
     """Evaluate the extension and its gradient at a point."""
-    with open(ext_path) as fh:
-        ext = extend.extension_from_json_dict(json.load(fh))
-    try:
-        x = np.array([float(v) for v in at_point.split(",")])
-    except ValueError:
-        click.echo("could not parse --at coordinates", err=True)
-        sys.exit(EXIT_CONFIG)
-    if len(x) != ext.anchors.shape[1]:
-        click.echo(f"point has dim {len(x)}, extension has dim "
-                   f"{ext.anchors.shape[1]}", err=True)
-        sys.exit(EXIT_CONFIG)
+    ext, x = _extension_and_point(ext_path, at_point, "--at")
     _emit({"f": float(extend.eval_f(ext, x)),
            "grad": extend.eval_grad(ext, x).tolist()}, None)
 
 
-def _write_trajectory_csv(path, times, points, speeds):
-    d = points.shape[1]
-    header = ",".join(["s"] + [f"x{k+1}" for k in range(d)] + ["speed"])
-    data = np.column_stack([times, points, speeds])
+def _write_trajectory_csv(path, traj):
+    header = ",".join(["s"] + [f"x{k+1}" for k in range(traj.dim)] + ["speed"])
+    data = np.column_stack([traj.times, traj.states, traj.speeds])
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
@@ -433,78 +470,40 @@ def _write_trajectory_csv(path, times, points, speeds):
 @click.option("--dt", type=float, required=True)
 @click.option("-o", "--output", required=True, type=click.Path())
 def flow_cmd(ext_path, x0, t_end, dt, output):
-    """Integrate the gradient flow of a stored extension; write CSV."""
-    with open(ext_path) as fh:
-        ext = extend.extension_from_json_dict(json.load(fh))
-    if ext.smoothing_eps <= 0.0:
-        click.echo("flow requires a smoothed extension (eps > 0)", err=True)
-        sys.exit(EXIT_CONFIG)
-    start = np.array([float(v) for v in x0.split(",")])
-    traj = flow_mod.integrate(ext, start, t_end, dt)
-    _write_file(output, lambda p: _write_trajectory_csv(p, traj.times, traj.states,
-                                                        traj.speeds))
+    """Integrate the gradient flow of a stored extension; write CSV; exit 6 on blow-up."""
+    ext, start = _extension_and_point(ext_path, x0, "--x0")
+    try:
+        traj = flow_mod.integrate(ext, start, t_end, dt)
+    except ValueError as exc:
+        _fail(f"flow failed: {exc}", EXIT_CONFIG)
+    except BlowUp as exc:
+        _fail(f"flow failed: {exc}", EXIT_FLOW)
+    _write_file(output, lambda p: _write_trajectory_csv(p, traj))
     _emit({"steps": len(traj.times), "final_speed": float(traj.speeds[-1]),
            "final_state": traj.states[-1].tolist()}, None)
 
 
 @main.command("roundtrip")
-@_curve_options
-@_plan_options
-@click.option("--eps", type=float, default=None)
-@click.option("--eps-rel", type=float, default=1e-3)
-@click.option("--dt-factor", type=float, default=1e-3)
-@click.option("--n-out", type=int, default=400)
-@click.option("--tol", "roundtrip_tol", type=float, default=5e-2)
-@click.option("-o", "--output", type=click.Path(), default=None)
+@_flow_options
+@click.option("--tol", "roundtrip_tol", type=float)
+@_output_option
 def roundtrip_cmd(output, **kwargs):
     """Reparameterize, integrate the extension flow, compare; exit 6 on miss."""
-    cfg, crv, plan = _plan_from_cli(kwargs)
-    try:
-        horizon = _flow_horizon(crv, plan)
-        ext = extend.build_extension(extend.curve_jet(crv, plan), smoothing_eps=cfg.eps,
-                                     eps_rel=cfg.eps_rel)
-    except HorizonOverflow as exc:
-        click.echo(f"plan construction failed: {exc}", err=True)
-        sys.exit(EXIT_M)
-    except ConditionCFailed as exc:
-        click.echo(f"extension failed: {exc}", err=True)
-        sys.exit(EXIT_C)
-    rep_curve = repar.reparameterize(crv, plan, cfg.n_out, horizon)
-    traj = flow_mod.integrate(ext, rep_curve.points[0], horizon,
-                              cfg.dt_factor * horizon)
-    metrics = flow_mod.roundtrip_error(traj, rep_curve)
-    _emit(metrics.to_json_dict(), output)
-    sys.exit(EXIT_OK if metrics.sup_distance <= cfg.roundtrip_tol else EXIT_FLOW)
+    report = run_pipeline(_cfg(kwargs))
+    _emit(_result(report, "roundtrip").to_json_dict(), output)
+    sys.exit(report.exit_code)
 
 
 @main.command("run")
-@_curve_options
-@_plan_options
-@click.option("--eps", type=float, default=None)
-@click.option("--eps-rel", type=float, default=1e-3)
-@click.option("--dt-factor", type=float, default=1e-3)
-@click.option("--n-out", type=int, default=400)
-@click.option("--n-triples", type=int, default=100_000)
-@click.option("--seed", type=int, default=0)
-@click.option("--roundtrip-tol", type=float, default=5e-2)
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@_flow_options
+@_triple_options
+@click.option("--roundtrip-tol", type=float)
+@click.option("--report", "report_path", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def run(report_path, fmt, **kwargs):
     """Run the full pipeline and emit a staged report."""
-    cfg = _cfg(kwargs)
-    try:
-        report = run_pipeline(cfg)
-    except ContractFlowError as exc:
-        click.echo(f"pipeline error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    text = report.render(fmt)
-    if report_path:
-        def write(path):
-            with open(path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        _write_file(report_path, write)
-    else:
-        click.echo(text.rstrip("\n"))
+    report = run_pipeline(_cfg(kwargs))
+    _echo(report.render(fmt).rstrip("\n"), report_path)
     sys.exit(report.exit_code)
 
 

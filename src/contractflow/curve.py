@@ -485,9 +485,13 @@ def to_json_dict(curve: Curve, alpha: float | None = None) -> dict:
 
 
 def from_json_dict(doc: dict) -> Curve:
-    return Curve(params=np.asarray(doc["params"], dtype=float),
-                 points=np.asarray(doc["points"], dtype=float),
-                 tangents=np.asarray(doc["tangents"], dtype=float),
+    """Inverse of ``to_json_dict``; ValueError when malformed."""
+    try:
+        params, points, tangents = (np.asarray(doc[key], dtype=float)
+                                    for key in ("params", "points", "tangents"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed curve document: {exc!r}") from None
+    return Curve(params=params, points=points, tangents=tangents,
                  source=doc.get("source", "sampled"))
 
 

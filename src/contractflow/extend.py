@@ -189,10 +189,20 @@ class ConvexExtension:
 
 
 def extension_from_json_dict(doc: dict) -> ConvexExtension:
-    return ConvexExtension(anchors=np.asarray(doc["anchors"], dtype=float),
-                           values=np.asarray(doc["values"], dtype=float),
-                           gradients=np.asarray(doc["gradients"], dtype=float),
-                           smoothing_eps=float(doc["eps"]))
+    """Inverse of ``ConvexExtension.to_json_dict``; ValueError when malformed."""
+    try:
+        anchors, values, gradients = (np.asarray(doc[key], dtype=float)
+                                      for key in ("anchors", "values", "gradients"))
+        eps = float(doc["eps"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed extension document: {exc!r}") from None
+    if (anchors.ndim != 2 or gradients.shape != anchors.shape
+            or values.shape != anchors.shape[:1]):
+        raise ValueError("extension anchors, values and gradients disagree in shape")
+    if not eps >= 0.0:
+        raise ValueError("extension eps must be nonnegative")
+    return ConvexExtension(anchors=anchors, values=values, gradients=gradients,
+                           smoothing_eps=eps)
 
 
 def build_extension(jet: JetData, smoothing_eps: float | None = None,

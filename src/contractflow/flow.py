@@ -7,6 +7,7 @@ so fixed steps keep the error behavior predictable for the order checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,11 @@ def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
     """Integrate x' = -grad F(x) by fixed-step RK4.
 
     Terminates early at stationary points (||grad|| < 1e-8) and raises BlowUp
-    when the state norm exceeds 1e6 (||x0|| + 1), which signals a non-convex
-    or corrupted oracle.
+    when the state norm exceeds 1e6 (||x0|| + 1) or is not finite, which
+    signals a non-convex or corrupted oracle.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     grad = _gradient_fn(ext_or_f)
     x = np.asarray(x0, dtype=float).copy()
     limit = 1e6 * (np.linalg.norm(x) + 1.0)
@@ -73,8 +74,9 @@ def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
         k4 = -np.asarray(grad(x + h * k3), dtype=float)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        if np.linalg.norm(x) > limit:
-            raise BlowUp(f"state norm exceeded {limit:.3g} at t = {t:.6g}")
+        norm = np.linalg.norm(x)
+        if not norm <= limit:  # a NaN norm fails too
+            raise BlowUp(f"state norm {norm:.3g} is not within {limit:.3g} at t = {t:.6g}")
         g = np.asarray(grad(x), dtype=float)
         times.append(t)
         states.append(x.copy())

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from contractflow.cli import main
 
@@ -188,12 +189,15 @@ class TestExtensionCommands:
                                    "--dt", "0.01", "-o", str(tmp_path / "t.csv")])
         assert res.exit_code == 2
 
-    def test_roundtrip_condition_C_failure_exits_5(self, runner):
-        res = runner.invoke(main, ["roundtrip", "--gen", "circle", "--b", "0.05"])
-        assert res.exit_code == 5
-        assert isinstance(res.exception, SystemExit)  # no escaped ConditionCFailed
+    def test_roundtrip_condition_M_failure_exits_4(self, runner):
+        # roundtrip runs run's stages, so the (M) gate stops it before (C)
+        args = ["--gen", "circle", "--b", "0.05"]
+        res = runner.invoke(main, ["roundtrip"] + args)
+        assert res.exit_code == 4
+        assert isinstance(res.exception, SystemExit)  # nothing escaped
         assert len(res.output.strip().splitlines()) == 1
-        assert "condition (C) fails" in res.output
+        assert "(M)-inequality fails" in res.output
+        assert runner.invoke(main, ["run"] + args).exit_code == res.exit_code
 
     def test_roundtrip_command(self, runner):
         res = runner.invoke(main, ["roundtrip", "--gen", "segment", "--n", "100"])
@@ -201,3 +205,217 @@ class TestExtensionCommands:
         doc = json.loads(res.output)
         assert doc["sup_distance"] <= 5e-2
         assert set(doc) == {"sup_distance", "terminal_distance", "hausdorff"}
+
+
+HALF_CIRCLE = ["--gen", "circle", "--angle", repr(np.pi), "--n", "80"]
+
+
+class TestStagedProjections:
+    """The subcommands run run's stages up to their own and share its exit codes."""
+
+    def test_m_failure_stops_every_later_subcommand(self, runner):
+        args = ["--gen", "circle", "--n", "80", "--b", "0.05"]
+        codes = {cmd: runner.invoke(main, [cmd] + args).exit_code
+                 for cmd in ("build-m", "verify-m", "extend", "roundtrip", "run")}
+        assert set(codes.values()) == {4}
+        plan = json.loads(runner.invoke(main, ["build-m"] + args).stdout)
+        assert plan["b"] == 0.05  # the plan is still printed
+        ext = runner.invoke(main, ["extend"] + args)
+        assert ext.stdout == ""
+        assert ext.stderr.startswith("repar stage failed: the (M)-inequality fails")
+
+    def test_horizon_overflow_fails_plan_commands(self, runner):
+        res = runner.invoke(main, ["verify-m", "--gen", "spiral"])
+        assert res.exit_code == 4
+        doc = json.loads(res.stdout)
+        assert doc["holds"] is True and doc["plan"]["T"] is None
+        ext = runner.invoke(main, ["extend", "--gen", "spiral"])
+        assert ext.exit_code == 4 and "overflows" in ext.stderr
+
+    def test_rate_override_still_gates_on_classify(self, runner):
+        # the half circle's start tangent is orthogonal to its last chord: c0 = 0
+        for cmd in ("build-m", "verify-m", "extend", "roundtrip"):
+            res = runner.invoke(main, [cmd] + HALF_CIRCLE + ["--b", "3"])
+            assert res.exit_code == 3, cmd
+            assert res.stderr == ("contract stage failed: the curve is "
+                                  "self_contracted, not uniformly_strongly\n")
+        res = runner.invoke(main, ["check"] + HALF_CIRCLE + ["--n-triples", "500",
+                                                             "--level", "self_contracted"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["level"] == "self_contracted"
+
+    def test_flow_blow_up_fails_flow_stage(self, runner):
+        args = ["--gen", "circle", "--angle", "2.5", "--n", "80"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = runner.invoke(main, ["run"] + args + ["--n-triples", "500"])
+            rt = runner.invoke(main, ["roundtrip"] + args)
+        assert res.exit_code == 6
+        doc = json.loads(res.stdout)
+        assert doc["stages"][-1]["name"] == "flow"
+        assert "state norm" in doc["stages"][-1]["data"]["error"]
+        assert rt.exit_code == 6 and isinstance(rt.exception, SystemExit)
+        assert rt.stderr.strip().splitlines()[-1].startswith("flow stage failed:")
+
+    def test_unsmoothed_extension_fails_flow_stage(self, runner):
+        res = runner.invoke(main, ["run", "--gen", "segment", "--n", "50",
+                                   "--n-triples", "500", "--eps", "0"])
+        assert res.exit_code == 6
+        assert "eps = 0" in json.loads(res.stdout)["stages"][-1]["data"]["error"]
+
+
+class TestCurveInput:
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_too_few_samples_is_a_config_error(self, runner, n):
+        res = runner.invoke(main, ["run", "--gen", "segment", "--n", n])
+        assert res.exit_code == 2
+        assert res.stderr == "config error: n_samples must be at least 3\n"
+
+    def test_repeated_parameter_fails_curve_stage(self, runner, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("t,x1,x2,tx1,tx2\n0,0,0,1,0\n0.5,0.5,0,1,0\n"
+                       "0.5,0.5,0,1,0\n1,1,0,1,0\n")
+        res = runner.invoke(main, ["run", "--input", str(csv)])
+        assert res.exit_code == 2
+        stage = json.loads(res.stdout)["stages"][-1]
+        assert stage["name"] == "curve" and not stage["passed"]
+        assert "strictly increasing" in stage["data"]["error"]
+        res = runner.invoke(main, ["check", "--input", str(csv)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr == ("curve stage failed: arc-length parameters must "
+                              "be strictly increasing\n")
+
+    def test_curve_json_without_points_fails_curve_stage(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"params": [0.0, 1.0, 2.0]}))
+        res = runner.invoke(main, ["check", "--input", str(path)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("curve stage failed: malformed curve document")
+
+
+@pytest.fixture
+def segment_ext(runner, tmp_path):
+    path = tmp_path / "ext.json"
+    res = runner.invoke(main, ["extend", "--gen", "segment", "--n", "50",
+                               "-o", str(path)])
+    assert res.exit_code == 0
+    return path
+
+
+def _flow(runner, ext, *args):
+    return runner.invoke(main, ["flow", "--extension", str(ext), *args,
+                                "-o", str(ext.with_suffix(".csv"))])
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("t_end,dt", [("1", "nan"), ("inf", "inf"), ("1", "0"),
+                                          ("nan", "0.1"), ("-1", "0.1")])
+    def test_flow_bad_times_exit_2(self, runner, segment_ext, t_end, dt):
+        res = _flow(runner, segment_ext, "--x0", "0,0", "--t-end", t_end, "--dt", dt)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr == "flow failed: dt and t_end must be positive and finite\n"
+
+    @pytest.mark.parametrize("x0", ["a,b", "0", "0,0,0", "nan,0"])
+    def test_flow_bad_start_exits_2(self, runner, segment_ext, x0):
+        res = _flow(runner, segment_ext, "--x0", x0, "--t-end", "1", "--dt", "0.1")
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert len(res.output.strip().splitlines()) == 1
+
+    def test_flow_blow_up_exits_6(self, runner, tmp_path):
+        # one affine piece f(x) = -x_1: the flow runs off at unit speed
+        path = tmp_path / "ramp.json"
+        path.write_text(json.dumps({"anchors": [[0.0, 0.0]], "values": [0.0],
+                                    "gradients": [[-1.0, 0.0]], "eps": 0.1}))
+        res = _flow(runner, path, "--x0", "0,0", "--t-end", "1e7", "--dt", "1e5")
+        assert res.exit_code == 6
+        assert res.stderr.startswith("flow failed: state norm")
+
+    @pytest.mark.parametrize("doc", [{"values": [0.0]}, [1, 2],
+                                     {"anchors": [0.0], "values": [0.0],
+                                      "gradients": [0.0], "eps": 0.1}])
+    def test_malformed_extension_exits_2(self, runner, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for args in (["eval", "--extension", str(path), "--at", "0,0"],
+                     ["flow", "--extension", str(path), "--x0", "0,0",
+                      "--t-end", "1", "--dt", "0.1", "-o", str(tmp_path / "t.csv")]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+            assert res.stderr.startswith(f"cannot read extension {path}")
+
+
+# ---------------------------------------------------------------------------
+# fuzz over the staged subcommands (zeta plans are left out: seconds per run)
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+STAGES = ["curve", "contract", "repar", "extend", "flow"]
+FLOW_METRICS = ("horizon", "eps", "final_speed", "sup_distance",
+                "terminal_distance", "hausdorff")
+# the last stage each prefix subcommand runs, and the options it takes
+PREFIX_STAGE = {"build-m": "repar", "verify-m": "repar", "extend": "extend"}
+PREFIX_OPTIONS = {"build-m": {"--kind", "--alpha", "--b"},
+                  "verify-m": {"--kind", "--alpha", "--b"},
+                  "extend": {"--kind", "--alpha", "--b", "--eps"}}
+
+
+def _num(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False).map(repr)
+
+
+@st.composite
+def curve_args(draw):
+    gen = draw(st.sampled_from(["segment", "circle", "spiral"]))
+    args = ["--gen", gen, "--n", str(draw(st.integers(1, 80)))]
+    return args + {"segment": ["--seg-length", draw(_num(0.1, 3.0))],
+                   "circle": ["--angle", draw(_num(0.1, 3.5))],
+                   "spiral": ["--lambda", draw(_num(0.05, 1.0)),
+                              "--tmax", draw(_num(1.0, 15.0))]}[gen]
+
+
+# options of the later stages take valid values only, so that a prefix
+# subcommand, which lacks them, sees the same configuration errors as run
+OPTION_VALUES = {"--kind": st.sampled_from(["exp", "endpoint"]),
+                 "--alpha": st.sampled_from(["0.4", "0.75", "1.0"]),
+                 "--b": _num(0.01, 30.0),
+                 "--eps": st.sampled_from(["0", "1e-4", "1e-2"]),
+                 "--dt-factor": _num(1e-3, 0.05),
+                 "--n-out": st.integers(2, 100).map(str)}
+pipeline_options = st.sets(st.sampled_from(sorted(OPTION_VALUES)), max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries({k: OPTION_VALUES[k] for k in keys}))
+
+
+def _flags(options, names=None):
+    return [a for k, v in sorted(options.items()) if names is None or k in names
+            for a in (k, v)]
+
+
+def _invoke(runner, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = runner.invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        args, res.exception)
+    assert res.exit_code in DOCUMENTED_EXITS, (args, res.output)
+    return res
+
+
+@given(curve=curve_args(), options=pipeline_options,
+       prefix=st.sampled_from(sorted(PREFIX_STAGE)), n_triples=st.integers(1, 2000))
+@settings(max_examples=25, deadline=None)
+def test_staged_subcommands_fuzz(curve, options, prefix, n_triples):
+    runner = CliRunner()
+    args = curve + _flags(options)
+    run_res = _invoke(runner, ["run"] + args)
+    assert _invoke(runner, ["roundtrip"] + args).exit_code == run_res.exit_code
+    # a prefix subcommand fails where run fails, or passes all of its stages
+    expect = run_res.exit_code
+    if run_res.stdout:  # empty on a config error
+        doc = json.loads(run_res.stdout)
+        if doc["passed"]:
+            flow_data = doc["stages"][-1]["data"]
+            assert all(flow_data[k] is not None for k in FLOW_METRICS), flow_data
+        if len(doc["stages"]) - 1 > STAGES.index(PREFIX_STAGE[prefix]):
+            expect = 0
+    prefix_args = curve + _flags(options, PREFIX_OPTIONS[prefix])
+    assert _invoke(runner, [prefix] + prefix_args).exit_code == expect
+    _invoke(runner, ["check"] + curve + ["--n-triples", str(n_triples)])

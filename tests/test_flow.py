@@ -46,6 +46,19 @@ class TestIntegrate:
         with pytest.raises(BlowUp):
             cf.integrate(lambda x: -x, np.array([1.0, 0.0]), 40.0, 1e-2)
 
+    def test_non_finite_state_blows_up(self):
+        # NaN compares False with the norm limit; it must not flow on silently
+        def nan_after_first_step(x):
+            return -x if x[0] == 1.0 else np.full(2, np.nan)
+        with pytest.raises(BlowUp, match="nan"):
+            cf.integrate(nan_after_first_step, np.array([1.0, 0.0]), 1.0, 1e-2)
+
+    @pytest.mark.parametrize("t_end,dt", [(1.0, math.nan), (math.inf, math.inf),
+                                          (math.nan, 0.1), (math.inf, 0.1), (1.0, 0.0)])
+    def test_rejects_non_finite_or_non_positive_times(self, t_end, dt):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cf.integrate(isotropic_grad, np.array([1.0, 0.0]), t_end, dt)
+
     def test_speeds_match_gradient_norm(self):
         traj = cf.integrate(aniso_grad, np.array([1.0, 1.0]), 0.3, 1e-3)
         norms = np.linalg.norm([aniso_grad(x) for x in traj.states], axis=1)
