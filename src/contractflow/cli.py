@@ -370,8 +370,7 @@ def main():
               help="Also write the JSON form.")
 def gen(output, json_out, **kwargs):
     """Generate a curve and write it as CSV (and optionally JSON)."""
-    cfg = _cfg(kwargs)
-    crv = build_curve(cfg)
+    crv = _result(run_pipeline(_cfg(kwargs), stop_after="curve"), "curve")
     _write_file(output, lambda p: curve_mod.save_csv(crv, p))
     if json_out:
         _write_file(json_out, lambda p: curve_mod.save_json(crv, p))

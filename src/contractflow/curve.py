@@ -22,7 +22,7 @@ from .errors import (
     OutOfDomain,
     StationaryPoint,
 )
-from .numint import CumulativeIntegral, invert_monotone
+from .numint import CumulativeTable, invert_monotone
 
 _UNIT_SPEED_TOL = 1e-9
 
@@ -30,39 +30,34 @@ _UNIT_SPEED_TOL = 1e-9
 class _ArcLengthMap:
     """Bijection between a raw parameter u in [u0, u1] and arc length s.
 
-    When the input is already unit speed the map is the identity shift;
-    otherwise cumulative adaptive-Simpson quadrature of the speed is inverted
-    by bracketed Newton.
+    ``dgamma`` maps an array of parameters to one velocity row each. When the
+    input is already unit speed the map is the identity shift; otherwise the
+    speed is tabulated once, on ``breaks`` split into at least 2048 Simpson
+    cells, and both directions are table queries. Raises StationaryPoint
+    before any table is built when the speed drops below 1e-10 on the probe.
     """
 
-    def __init__(self, speed, u0: float, u1: float, tol: float = 1e-10):
-        self.u0 = float(u0)
-        self.u1 = float(u1)
-        self.speed = speed
-        probe = np.linspace(u0, u1, 257)
-        sp = np.array([speed(float(u)) for u in probe])
-        self.min_speed = float(sp.min())
+    def __init__(self, dgamma, breaks):
+        breaks = np.asarray(breaks, dtype=float)
+        self.u0, self.u1 = float(breaks[0]), float(breaks[-1])
+        speed = lambda u: np.linalg.norm(dgamma(u), axis=-1)
+        sp = speed(np.linspace(self.u0, self.u1, 257))
+        if sp.min() < 1e-10:
+            raise StationaryPoint("gamma' vanishes on the sampling grid")
         self.unit_speed = bool(np.abs(sp - 1.0).max() <= _UNIT_SPEED_TOL)
         if self.unit_speed:
-            self._cum = None
+            self._tab = None
             self.total = self.u1 - self.u0
         else:
-            self._cum = CumulativeIntegral(speed, self.u0, self.u1, n_nodes=1025, tol=tol)
-            self.total = self._cum.total
+            split = 2 * -(-1024 // (len(breaks) - 1))  # even: Simpson pairs per break
+            k = np.arange((len(breaks) - 1) * split + 1) / split
+            nodes = np.interp(k, np.arange(len(breaks)), breaks)
+            self._tab = CumulativeTable.simpson(nodes, speed(nodes))
+            self.total = self._tab.total
 
-    def s_of_u(self, u: float) -> float:
-        if self.unit_speed:
-            return u - self.u0
-        return self._cum(u)
-
-    def u_of_s(self, s: float) -> float:
-        if self.unit_speed:
-            return self.u0 + s
-        if s <= 0.0:
-            return self.u0
-        if s >= self.total:
-            return self.u1
-        return self._cum.inverse(s)
+    def u_of_s(self, s):
+        s = np.clip(s, 0.0, self.total)
+        return self.u0 + s if self.unit_speed else self._tab.inverse(s)
 
 
 @dataclass(frozen=True)
@@ -136,29 +131,29 @@ class Curve:
             # direct-constructed curve: fit a spline through the stored samples
             cs = CubicSpline(self.params, self.points, axis=0)
             dcs = cs.derivative()
-            speed = lambda u: float(np.linalg.norm(dcs(u)))
-            geom = _Geometry(gamma=cs, dgamma=dcs,
-                             arcmap=_ArcLengthMap(speed, self.params[0], self.params[-1]))
+            geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(dcs, self.params))
             object.__setattr__(self, "geometry", geom)
         return self.geometry
 
-    def _clamp(self, t: float) -> float:
+    def _clamp(self, t):
+        t = np.asarray(t, dtype=float)
         L = self.length
         slack = 1e-12 * max(L, 1.0)
-        if t < -slack or t > L + slack:
-            raise OutOfDomain(f"t={t} outside [0, {L}]")
-        return min(max(t, 0.0), L)
+        bad = t[(t < -slack) | (t > L + slack)]
+        if bad.size:
+            raise OutOfDomain(f"t={bad[0]} outside [0, {L}]")
+        return np.clip(t, 0.0, L)
 
-    def point_at(self, t: float) -> np.ndarray:
-        t = self._clamp(float(t))
+    def point_at(self, t):
+        """gamma at arc length t; an array t gives one row per entry."""
         g = self._geom()
-        return np.asarray(g.gamma(g.arcmap.u_of_s(t)), dtype=float)
+        return np.asarray(g.gamma(g.arcmap.u_of_s(self._clamp(t))), dtype=float)
 
-    def tangent_at(self, t: float) -> np.ndarray:
-        t = self._clamp(float(t))
+    def tangent_at(self, t):
+        """Unit tangent at arc length t; an array t gives one row per entry."""
         g = self._geom()
-        v = np.asarray(g.dgamma(g.arcmap.u_of_s(t)), dtype=float)
-        return v / np.linalg.norm(v)
+        v = np.asarray(g.dgamma(g.arcmap.u_of_s(self._clamp(t))), dtype=float)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def point_at(curve: Curve, t: float) -> np.ndarray:
@@ -208,16 +203,13 @@ class ThirdDerivativeBound:
 
 
 def _resample(geom: _Geometry, n: int, source: str) -> Curve:
-    L = geom.arcmap.total
-    s = np.linspace(0.0, L, n)
-    u = np.empty(n)
+    s = np.linspace(0.0, geom.arcmap.total, n)
+    u = geom.arcmap.u_of_s(s)
     u[0], u[-1] = geom.arcmap.u0, geom.arcmap.u1
-    for k in range(1, n - 1):
-        u[k] = geom.arcmap.u_of_s(s[k])
-    pts = np.array([np.asarray(geom.gamma(uk), dtype=float) for uk in u])
-    vel = np.array([np.asarray(geom.dgamma(uk), dtype=float) for uk in u])
+    vel = np.asarray(geom.dgamma(u), dtype=float)
     tans = vel / np.linalg.norm(vel, axis=1, keepdims=True)
-    return Curve(params=s, points=pts, tangents=tans, source=source, geometry=geom)
+    return Curve(params=s, points=np.asarray(geom.gamma(u), dtype=float), tangents=tans,
+                 source=source, geometry=geom)
 
 
 def from_samples(raw_points, n_resample: int) -> Curve:
@@ -232,6 +224,7 @@ def from_samples(raw_points, n_resample: int) -> Curve:
     ------
     DuplicatePoint : consecutive raw points coincide
     DegenerateCurve : total chordal length below 1e-12
+    StationaryPoint : the interpolant's speed drops below 1e-10 on the probe grid
     """
     pts = np.asarray(raw_points, dtype=float)
     if pts.ndim != 2:
@@ -248,8 +241,7 @@ def from_samples(raw_points, n_resample: int) -> Curve:
     chord = np.concatenate([[0.0], np.cumsum(seg)])
     cs = CubicSpline(chord, pts, axis=0)
     dcs = cs.derivative()
-    speed = lambda v: float(np.linalg.norm(dcs(v)))
-    geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(speed, 0.0, chord[-1]))
+    geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(dcs, chord))
     return _resample(geom, n_resample, "sampled")
 
 
@@ -264,13 +256,10 @@ def make_analytic(gamma, gamma_prime, domain, n_samples: int,
         raise ValueError("domain must have positive width")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    g = lambda u: np.asarray(gamma(u), dtype=float)
-    dg = lambda u: np.asarray(gamma_prime(u), dtype=float)
-    speed = lambda u: float(np.linalg.norm(dg(u)))
-    arcmap = _ArcLengthMap(speed, u0, u1)
-    if arcmap.min_speed < 1e-10:
-        raise StationaryPoint("gamma' vanishes on the sampling grid")
-    geom = _Geometry(gamma=g, dgamma=dg, arcmap=arcmap,
+    # scalar evaluators that also map an array of parameters to one row each
+    g, dg = (np.vectorize(f, otypes=[float], signature="()->(d)")
+             for f in (gamma, gamma_prime))
+    geom = _Geometry(gamma=g, dgamma=dg, arcmap=_ArcLengthMap(dg, [u0, u1]),
                      d2gamma=second_derivative, d3gamma=third_derivative)
     return _resample(geom, n_samples, "analytic")
 

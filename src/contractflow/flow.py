@@ -74,8 +74,8 @@ def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
         k4 = -np.asarray(grad(x + h * k3), dtype=float)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        norm = np.linalg.norm(x)
-        if not norm <= limit:  # a NaN norm fails too
+        norm = math.hypot(*x)  # no overflow warning; an inf or NaN norm fails too
+        if not norm <= limit:
             raise BlowUp(f"state norm {norm:.3g} is not within {limit:.3g} at t = {t:.6g}")
         g = np.asarray(grad(x), dtype=float)
         times.append(t)

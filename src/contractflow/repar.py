@@ -21,10 +21,11 @@ from .curve import Curve, RegularityEstimate
 from .errors import (
     DivergentA,
     HorizonExceedsT,
+    HorizonOverflow,
     HypothesisViolated,
     NonPositiveC0,
 )
-from .numint import CumulativeIntegral, adaptive_simpson, tail_limit_integral
+from .numint import CumulativeTable, adaptive_simpson, tail_limit_integral
 
 B_MIN = 1.0  # rate floor; degenerate curves (C1 = 0) otherwise give b = 0
 
@@ -111,12 +112,17 @@ def exponential_plan(curve: Curve, reg: RegularityEstimate, c0: float,
     """Exponential profile m(t) = e^{bt} with the certified-sufficient rate.
 
     b = 3 C1' e^{1/c0} where C1' = c1 L^{2 alpha - 1}, floored at b_min.
+    Raises HorizonOverflow when b itself does not fit in float64.
     """
     if c0 <= 0.0:
         raise NonPositiveC0("exponential plan needs c0 > 0")
     L = curve.length
     c1p = reg.c1 * L ** (2.0 * reg.alpha - 1.0)
-    b = max(3.0 * c1p * math.exp(1.0 / c0), b_min)
+    log_b = math.log(3.0 * c1p) + 1.0 / c0 if c1p > 0.0 else -math.inf
+    if log_b > np.log(np.finfo(float).max):
+        raise HorizonOverflow(f"exponential rate b = 3 C1' e^(1/c0) = e^{log_b:.6g} "
+                              f"overflows float64 (c0 = {c0:.3g})")
+    b = max(math.exp(log_b), b_min)
     return _exponential(curve, b, c0, reg.c1)
 
 
@@ -172,46 +178,42 @@ def endpoint_plan(curve: Curve, c0: float, c1_cubic: float,
             return 0.0
         return (1.0 - math.exp(-0.5 * b * u * u)) / u
 
-    d_cum = CumulativeIntegral(g, 0.0, L, n_nodes=257)
+    # D is tabulated once: adaptive Simpson on 256 cells, Hermite in between
+    nodes = np.linspace(0.0, L, 257)
+    cells = [adaptive_simpson(g, x0, x1) for x0, x1 in zip(nodes[:-1], nodes[1:])]
+    d_cum = CumulativeTable(nodes, np.concatenate([[0.0], np.cumsum(cells)]),
+                            [g(u) for u in nodes])
     d_total = d_cum.total
     log_k = 0.5 * b * L * L - math.log(b)
 
-    def theta_scalar(t: float) -> float:
-        w = L - t
-        if w <= 0.0:
-            return math.inf
-        if t <= 0.0:
-            return 0.0
-        j = math.log(L / w) - (d_total - d_cum(w))
-        with np.errstate(over="ignore"):
-            return float(np.exp(log_k) * j)
-
     def theta(t):
-        if np.ndim(t) == 0:
-            return theta_scalar(float(t))
-        return np.array([theta_scalar(float(v)) for v in np.asarray(t).ravel()]
-                        ).reshape(np.shape(t))
+        t = np.asarray(t, dtype=float)
+        w = L - t
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            j = np.log(L / w) - (d_total - d_cum(w))
+            return np.where(w <= 0.0, math.inf, np.where(t <= 0.0, 0.0, np.exp(log_k) * j))
 
-    def theta_inv(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
+    def theta_inv(s):
+        shape = np.shape(s)
+        s = np.ravel(np.asarray(s, dtype=float))
         if log_k > 700.0:
             raise ValueError("theta is not representable in float64 for this rate b")
         k_val = math.exp(log_k)
         # Newton in v = log w; theta decreasing in w, d theta / d v = -K e^{-b w^2 / 2}
-        v = math.log(L) - s / k_val - d_total
-        v = min(v, math.log(L) - 1e-12)
+        v = np.minimum(math.log(L) - s / k_val - d_total, math.log(L) - 1e-12)
+        todo = np.flatnonzero(s > 0.0)
         for _ in range(100):
-            w = math.exp(v)
-            if w >= L:
-                w = L * (1.0 - 1e-15)
-                v = math.log(w)
-            res = k_val * (math.log(L / w) - (d_total - d_cum(w))) - s
-            if abs(res) <= 1e-12 * max(1.0, s):
+            if todo.size == 0:
                 break
-            step = res / (k_val * math.exp(-0.5 * b * w * w))
-            v = v + step
-        return L - math.exp(v)
+            w = np.exp(v[todo])
+            tip = w >= L
+            w[tip] = L * (1.0 - 1e-15)
+            v[todo[tip]] = np.log(w[tip])
+            res = k_val * (np.log(L / w) - (d_total - d_cum(w))) - s[todo]
+            go = np.abs(res) > 1e-12 * np.maximum(1.0, s[todo])
+            v[todo[go]] += res[go] / (k_val * np.exp(-0.5 * b * w[go] ** 2))
+            todo = todo[go]
+        return np.where(s > 0.0, L - np.exp(v), 0.0).reshape(shape)
 
     plan = ReparamPlan(kind="endpoint", b=b, c0=c0, c1=c1_cubic, L=L, T=math.inf,
                        m=m, inv_m=inv_m, inv_m_integral=inv_m_integral,
@@ -304,43 +306,41 @@ def zeta_plan(curve: Curve, c0: float, zeta, zeta_min: float = 1e-3) -> ReparamP
         with np.errstate(divide="ignore", invalid="ignore"):
             return -np.expm1(-(phi(s) - phi(t))) / dphi(t)
 
-    t_cap = 0.999 * L
-    state = {}
-
-    def _theta_table():
-        if "cum" not in state:
-            state["cum"] = CumulativeIntegral(lambda u: float(m(u)), 0.0, t_cap,
-                                              n_nodes=513)
-        return state["cum"]
-
-    def theta_scalar(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t >= L:
-            return t_total
-        tab = _theta_table()
-        if t <= t_cap:
-            return float(tab(t))
-        return float(tab.total + adaptive_simpson(lambda u: float(m(u)), t_cap, t))
+    # theta is tabulated once up to t_cap, the first grid node at or past
+    # 0.999 L; the sliver up to L, where m may blow up, is integrated directly
+    # and never inverted. phi is linear between grid nodes, so m is smooth
+    # within a grid cell and each Simpson pair spans part of one cell: the
+    # table splits each cell in 2, and in 8 past 0.99 L, where m grows steeply
+    k_cap = int(np.searchsorted(xg, 0.999 * L))
+    k_fine = int(np.searchsorted(xg, 0.99 * L))
+    t_cap = float(xg[k_cap])
+    nodes = np.concatenate([np.linspace(0.0, xg[k_fine], 2 * k_fine + 1)[:-1],
+                            np.linspace(xg[k_fine], t_cap, 8 * (k_cap - k_fine) + 1)])
+    tab = CumulativeTable.simpson(nodes, m(nodes))
+    # the sliver is integrated in units of theta(t_cap): m may be huge, and the
+    # rounding noise of phi' near L then defeats an absolute tolerance
+    m_rel = lambda u: float(m(u)) / tab.total
 
     def theta(t):
-        if np.ndim(t) == 0:
-            return theta_scalar(float(t))
-        return np.array([theta_scalar(float(v)) for v in np.asarray(t).ravel()]
-                        ).reshape(np.shape(t))
+        t = np.asarray(t, dtype=float)
+        out = np.ravel(tab(t))
+        for k in np.flatnonzero((t > t_cap) & (t < L)):
+            out[k] = tab.total * (1.0 + adaptive_simpson(m_rel, t_cap, t.flat[k]))
+        out[np.ravel(t >= L)] = t_total
+        return out.reshape(t.shape)
 
-    def theta_inv(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        tab = _theta_table()
-        if s > tab.total:
-            raise ValueError("theta inversion beyond 0.999 L is not tabulated; "
-                             "use a smaller horizon")
+    def theta_inv(s):
+        s = np.asarray(s, dtype=float)
+        if np.any(s > tab.total):
+            raise ValueError(f"theta inversion beyond t = {t_cap / L:.5f} L is not "
+                             "tabulated; use a smaller horizon")
         return tab.inverse(s)
 
-    t_val, t_conv = tail_limit_integral(lambda u: float(m(u)), 0.0, L,
-                                        rel_tol=1e-6, max_halvings=40)
-    t_total = float(t_val) if t_conv else math.inf
+    t_total = math.inf
+    if math.isfinite(tab.total):
+        sliver, t_conv = tail_limit_integral(m_rel, t_cap, L, max_halvings=40)
+        if t_conv:
+            t_total = tab.total * (1.0 + float(sliver))
 
     plan = ReparamPlan(kind="zeta", b=2.0 * a_val / (c0 * L), c0=c0, c1=None,
                        L=L, T=t_total, m=m, inv_m=inv_m,
@@ -439,9 +439,7 @@ def reparameterize(curve: Curve, plan: ReparamPlan, n_out: int,
     if math.isfinite(plan.T) and t_horizon > plan.T * (1.0 + 1e-12):
         raise HorizonExceedsT(f"horizon {t_horizon} exceeds T = {plan.T}")
     s = np.linspace(0.0, min(t_horizon, plan.T), n_out)
-    ts = np.array([float(plan.theta_inv(float(v))) for v in s])
-    ts = np.clip(ts, 0.0, plan.L)
-    pts = np.array([curve.point_at(v) for v in ts])
-    tans = np.array([curve.tangent_at(v) for v in ts])
-    vel = tans * np.asarray(plan.inv_m(ts), dtype=float)[:, None]
-    return ReparamCurve(times=s, points=pts, velocities=vel, plan=plan, curve=curve)
+    ts = np.clip(plan.theta_inv(s), 0.0, plan.L)
+    vel = curve.tangent_at(ts) * np.asarray(plan.inv_m(ts), dtype=float)[:, None]
+    return ReparamCurve(times=s, points=curve.point_at(ts), velocities=vel, plan=plan,
+                        curve=curve)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contractflow.cli import main
 
@@ -232,6 +232,17 @@ class TestStagedProjections:
         ext = runner.invoke(main, ["extend", "--gen", "spiral"])
         assert ext.exit_code == 4 and "overflows" in ext.stderr
 
+    def test_rate_overflow_fails_repar_with_exit_4(self, runner):
+        # c0 ~ 2.8e-4: the certified rate 3 C1' e^(1/c0) does not fit in float64
+        args = ["--gen", "circle", "--n", "3", "--angle", "3.140625"]
+        res = runner.invoke(main, ["run"] + args)
+        assert res.exit_code == 4 and isinstance(res.exception, SystemExit)
+        stage = json.loads(res.stdout)["stages"][-1]
+        assert stage["name"] == "repar" and "exponential rate b" in stage["data"]["error"]
+        bm = runner.invoke(main, ["build-m"] + args)
+        assert bm.exit_code == 4
+        assert bm.stderr.startswith("repar stage failed: exponential rate b")
+
     def test_rate_override_still_gates_on_classify(self, runner):
         # the half circle's start tangent is orthogonal to its last chord: c0 = 0
         for cmd in ("build-m", "verify-m", "extend", "roundtrip"):
@@ -256,6 +267,24 @@ class TestStagedProjections:
         assert "state norm" in doc["stages"][-1]["data"]["error"]
         assert rt.exit_code == 6 and isinstance(rt.exception, SystemExit)
         assert rt.stderr.strip().splitlines()[-1].startswith("flow stage failed:")
+
+    def test_flow_blow_up_leaks_no_warning(self, runner):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = runner.invoke(main, ["roundtrip", "--gen", "circle", "--angle", "2.5"])
+        assert res.exit_code == 6 and isinstance(res.exception, SystemExit)
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("flow stage failed: state norm ")
+
+    def test_zeta_horizon_at_0999_L_is_tabulated(self, runner):
+        # N = 1000 puts t_(N-2) within one grid step of 0.999 L: the flow runs
+        # to the tabulated horizon instead of failing on theta_inv
+        res = runner.invoke(main, ["run", "--gen", "circle", "--plan", "zeta",
+                                   "--n", "1000", "--n-triples", "500"])
+        assert res.exit_code in (0, 6) and isinstance(res.exception, SystemExit)
+        flow = json.loads(res.stdout)["stages"][-1]
+        assert flow["name"] == "flow" and "error" not in flow["data"]
+        assert np.isfinite(flow["data"]["horizon"])
 
     def test_unsmoothed_extension_fails_flow_stage(self, runner):
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", "50",
@@ -284,6 +313,17 @@ class TestCurveInput:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert res.stderr == ("curve stage failed: arc-length parameters must "
                               "be strictly increasing\n")
+
+    def test_gen_repeated_parameter_fails_curve_stage(self, runner, tmp_path):
+        csv = tmp_path / "dup.csv"
+        csv.write_text("t,x1,x2,tx1,tx2\n0,0,0,1,0\n0.5,0.5,0,1,0\n"
+                       "0.5,0.5,0,1,0\n1,1,0,1,0\n")
+        res = runner.invoke(main, ["gen", "--input", str(csv), "-o",
+                                   str(tmp_path / "out.csv")])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr == ("curve stage failed: arc-length parameters must "
+                              "be strictly increasing\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_curve_json_without_points_fails_curve_stage(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -345,7 +385,7 @@ class TestOutsideInput:
 
 
 # ---------------------------------------------------------------------------
-# fuzz over the staged subcommands (zeta plans are left out: seconds per run)
+# fuzz over the staged subcommands
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 STAGES = ["curve", "contract", "repar", "extend", "flow"]
@@ -374,7 +414,7 @@ def curve_args(draw):
 
 # options of the later stages take valid values only, so that a prefix
 # subcommand, which lacks them, sees the same configuration errors as run
-OPTION_VALUES = {"--kind": st.sampled_from(["exp", "endpoint"]),
+OPTION_VALUES = {"--kind": st.sampled_from(["exp", "endpoint", "zeta"]),
                  "--alpha": st.sampled_from(["0.4", "0.75", "1.0"]),
                  "--b": _num(0.01, 30.0),
                  "--eps": st.sampled_from(["0", "1e-4", "1e-2"]),
@@ -402,6 +442,8 @@ def _invoke(runner, args):
 @given(curve=curve_args(), options=pipeline_options,
        prefix=st.sampled_from(sorted(PREFIX_STAGE)), n_triples=st.integers(1, 2000))
 @settings(max_examples=25, deadline=None)
+@example(curve=["--gen", "circle", "--n", "3", "--angle", "3.140625"], options={},
+         prefix="build-m", n_triples=1000)
 def test_staged_subcommands_fuzz(curve, options, prefix, n_triples):
     runner = CliRunner()
     args = curve + _flags(options)

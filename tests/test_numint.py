@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from contractflow.numint import (
-    CumulativeIntegral,
+    CumulativeTable,
     adaptive_simpson,
     invert_monotone,
     tail_limit_integral,
@@ -53,17 +54,52 @@ def test_invert_monotone_clamps_to_bracket():
     assert invert_monotone(lambda x: x, 5.0, 0.0, 1.0) == 1.0
 
 
-def test_cumulative_integral_matches_closed_form():
-    cum = CumulativeIntegral(math.cos, 0.0, 2.0, n_nodes=65)
-    for x in [0.0, 0.3, 1.234, 2.0]:
-        assert cum(x) == pytest.approx(math.sin(x), abs=1e-9)
-    assert cum.total == pytest.approx(math.sin(2.0), abs=1e-9)
+def test_cumulative_table_matches_closed_form():
+    nodes = np.linspace(0.0, 2.0, 257)
+    tab = CumulativeTable.simpson(nodes, np.cos(nodes))
+    x = np.array([0.0, 0.3, 1.234, 2.0])
+    np.testing.assert_allclose(tab(x), np.sin(x), atol=1e-9)
+    assert tab.total == pytest.approx(math.sin(2.0), abs=1e-9)
+    assert float(tab(0.3)) == pytest.approx(math.sin(0.3), abs=1e-9)
+    # queries are clamped to the table
+    assert tab(-1.0) == 0.0 and tab(3.0) == tab.total
 
 
-def test_cumulative_integral_inverse():
-    cum = CumulativeIntegral(lambda x: 1.0 + x, 0.0, 3.0)
-    y = cum(1.7)
-    assert cum.inverse(y) == pytest.approx(1.7, abs=1e-10)
+def test_cumulative_table_inverse():
+    nodes = np.linspace(0.0, 3.0, 513)
+    tab = CumulativeTable.simpson(nodes, 1.0 + nodes)
+    x = np.linspace(0.0, 3.0, 37)
+    y = x + 0.5 * x * x
+    np.testing.assert_allclose(tab.inverse(y), x, atol=1e-12)
+    np.testing.assert_allclose(tab(tab.inverse(y)), y, atol=1e-12)
+    # exact at both ends
+    assert tab.inverse(0.0) == 0.0 and tab.inverse(tab.total) == 3.0
+
+
+def test_cumulative_table_error_is_fourth_order():
+    # F = e^x - 1: Simpson values and Hermite queries both converge as h^4,
+    # so each halving of the node spacing cuts the error about 16x
+    x = np.linspace(0.0, 1.0, 1001)
+    errs = []
+    for n_cells in (64, 128, 256):
+        nodes = np.linspace(0.0, 1.0, n_cells + 1)
+        tab = CumulativeTable.simpson(nodes, np.exp(nodes))
+        err = max(np.abs(tab(x) - np.expm1(x)).max(),
+                  np.abs(tab.inverse(np.expm1(x)) - x).max())
+        assert err <= 0.2 / n_cells**4
+        errs.append(err)
+    assert errs[0] / errs[1] > 14.0 and errs[1] / errs[2] > 14.0
+
+
+def test_cumulative_table_non_finite_tail():
+    # an integrand that overflows: every later value is +inf, earlier queries hold
+    nodes = np.linspace(0.0, 4.0, 9)
+    f = np.array([1.0] * 6 + [np.inf] * 3)
+    tab = CumulativeTable.simpson(nodes, f)
+    assert tab.total == np.inf
+    assert float(tab(1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert tab(3.9) == np.inf
+    assert float(tab.inverse(1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tail_limit_sqrt_singularity():
