@@ -44,6 +44,7 @@ from .flow import (
     check_flow_self_contracted,
     integrate,
     roundtrip_error,
+    sample_flow,
     trace_energy,
 )
 from .repar import (

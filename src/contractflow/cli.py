@@ -45,7 +45,6 @@ class PipelineConfig:
     b_override: float | None = None
     eps: float | None = None
     eps_rel: float = 1e-3
-    dt_factor: float = 1e-3
     n_out: int = 400
     n_triples: int = 100_000
     seed: int = 0
@@ -58,7 +57,9 @@ class PipelineConfig:
             raise ConfigError("alpha must lie in (1/2, 1]")
         if not self.n_samples >= 3:
             raise ConfigError("n_samples must be at least 3")
-        for name in ("safety", "eps_rel", "dt_factor", "n_out", "n_triples", "lam",
+        if not self.n_out >= 2:
+            raise ConfigError("n_out must be at least 2")
+        for name in ("safety", "eps_rel", "n_triples", "lam",
                      "tmax", "angle", "radius", "seg_length", "roundtrip_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -220,10 +221,9 @@ def _flow_stage(cfg, report, data) -> bool:
     res = report.results
     ext, horizon = res["extension"], res["horizon"]
     rep_curve = repar.reparameterize(res["curve"], res["plan"], cfg.n_out, horizon)
-    traj = flow_mod.integrate(ext, rep_curve.points[0], horizon,
-                              cfg.dt_factor * horizon)
+    traj = flow_mod.sample_flow(ext, rep_curve.points[0], rep_curve.times)
     metrics = res["roundtrip"] = flow_mod.roundtrip_error(traj, rep_curve)
-    data.update(horizon=horizon, eps=ext.smoothing_eps,
+    data.update(horizon=horizon, eps=ext.smoothing_eps, grad_evals=traj.grad_evals,
                 final_speed=float(traj.speeds[-1]), **metrics.to_json_dict())
     return metrics.sup_distance <= cfg.roundtrip_tol
 
@@ -296,7 +296,6 @@ _extend_options = _options(
 )
 _flow_options = _options(
     _extend_options,
-    click.option("--dt-factor", type=float),
     click.option("--n-out", type=int),
 )
 _triple_options = _options(

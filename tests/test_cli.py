@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from contractflow import extend, flow
 from contractflow.cli import main
 
 
@@ -268,13 +269,25 @@ class TestStagedProjections:
         assert rt.exit_code == 6 and isinstance(rt.exception, SystemExit)
         assert rt.stderr.strip().splitlines()[-1].startswith("flow stage failed:")
 
-    def test_flow_blow_up_leaks_no_warning(self, runner):
+    def test_flow_blow_up_leaks_no_warning(self, runner, monkeypatch):
+        calls = []
+
+        def counted(ext, x):
+            calls.append(1)
+            return extend.eval_grad(ext, x)
+
+        monkeypatch.setattr(flow, "eval_grad", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = runner.invoke(main, ["roundtrip", "--gen", "circle", "--angle", "2.5"])
         assert res.exit_code == 6 and isinstance(res.exception, SystemExit)
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("flow stage failed: state norm ")
+        assert len(calls) <= 5000
+
+    def test_dt_factor_is_not_an_option(self, runner):
+        res = runner.invoke(main, ["run", "--gen", "segment", "--dt-factor", "0.01"])
+        assert res.exit_code == 2 and "--dt-factor" in res.stderr
 
     def test_zeta_horizon_at_0999_L_is_tabulated(self, runner):
         # N = 1000 puts t_(N-2) within one grid step of 0.999 L: the flow runs
@@ -299,6 +312,12 @@ class TestCurveInput:
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", n])
         assert res.exit_code == 2
         assert res.stderr == "config error: n_samples must be at least 3\n"
+
+    @pytest.mark.parametrize("n_out", ["-1", "0", "1"])
+    def test_one_flow_sample_is_a_config_error(self, runner, n_out):
+        res = runner.invoke(main, ["run", "--gen", "segment", "--n-out", n_out])
+        assert res.exit_code == 2
+        assert res.stderr == "config error: n_out must be at least 2\n"
 
     def test_repeated_parameter_fails_curve_stage(self, runner, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -389,7 +408,7 @@ class TestOutsideInput:
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
 STAGES = ["curve", "contract", "repar", "extend", "flow"]
-FLOW_METRICS = ("horizon", "eps", "final_speed", "sup_distance",
+FLOW_METRICS = ("horizon", "eps", "grad_evals", "final_speed", "sup_distance",
                 "terminal_distance", "hausdorff")
 # the last stage each prefix subcommand runs, and the options it takes
 PREFIX_STAGE = {"build-m": "repar", "verify-m": "repar", "extend": "extend"}
@@ -418,7 +437,6 @@ OPTION_VALUES = {"--kind": st.sampled_from(["exp", "endpoint", "zeta"]),
                  "--alpha": st.sampled_from(["0.4", "0.75", "1.0"]),
                  "--b": _num(0.01, 30.0),
                  "--eps": st.sampled_from(["0", "1e-4", "1e-2"]),
-                 "--dt-factor": _num(1e-3, 0.05),
                  "--n-out": st.integers(2, 100).map(str)}
 pipeline_options = st.sets(st.sampled_from(sorted(OPTION_VALUES)), max_size=3).flatmap(
     lambda keys: st.fixed_dictionaries({k: OPTION_VALUES[k] for k in keys}))

@@ -1,9 +1,14 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import contractflow as cf
+from contractflow import cli, flow
 from contractflow.contract import ContractLevel
 from contractflow.errors import BlowUp, IdentityViolated
 from contractflow.flow import Trajectory
@@ -23,6 +28,11 @@ def aniso_grad(x):
 
 def aniso_val(x):
     return 0.5 * (x[0] ** 2 + 4.0 * x[1] ** 2)
+
+
+def nan_off_start(x):
+    """A gradient that is NaN everywhere but at the start point (1, 0)."""
+    return -x if x[0] == 1.0 else np.full(2, np.nan)
 
 
 class TestIntegrate:
@@ -78,6 +88,113 @@ class TestIntegrate:
             errs.append(abs(traj.states[-1][0] - math.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert 11.0 <= ratio <= 21.0
+
+
+class TestSampleFlow:
+    def test_closed_form_at_the_sample_times(self):
+        times = np.linspace(0.0, 2.0, 21)
+        traj = cf.sample_flow(aniso_grad, np.array([1.0, 1.0]), times)
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.states, np.column_stack(
+            [np.exp(-times), np.exp(-4.0 * times)]), rtol=0, atol=1e-8)
+        norms = np.linalg.norm([aniso_grad(x) for x in traj.states], axis=1)
+        np.testing.assert_allclose(traj.speeds, norms, rtol=1e-14)
+
+    def test_grad_evals_counts_every_call(self):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return aniso_grad(x)
+
+        traj = cf.sample_flow(counted, np.array([1.0, 1.0]), np.linspace(0.0, 2.0, 21))
+        assert traj.grad_evals == len(calls)
+        assert traj.grad_evals < 1000
+
+    def test_blow_up_names_the_state_norm(self):
+        with pytest.raises(BlowUp, match="^state norm exceeds 2e\\+06 at t = 14.5"):
+            cf.sample_flow(lambda x: -x, np.array([1.0, 0.0]), [0.0, 40.0])
+
+    def test_step_size_collapse_blows_up(self, monkeypatch):
+        # the error control shrinks the step until the trial states equal x0,
+        # then grows it again, without end
+        monkeypatch.setattr(flow, "MAX_EVALS", 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp, match="step size collapsed"):
+                cf.sample_flow(nan_off_start, np.array([1.0, 0.0]), [0.0, 1.0])
+
+    def test_solver_failure_blows_up(self):
+        # late start times: the step size falls below the spacing of t first
+        with pytest.raises(BlowUp, match="flow integration failed"):
+            cf.sample_flow(nan_off_start, np.array([1.0, 0.0]), [1e6, 1e6 + 1.0])
+
+    def test_overflowing_steps_blow_up_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp, match="^state norm"):
+                cf.sample_flow(lambda x: np.array([-1e300 * x[0], 0.0]),
+                               np.array([1.0, 0.0]), [0.0, 1.0])
+
+    def test_extension_is_freed_on_return(self, segment):
+        # without the cyclic collector: the solver's reference cycle must not hold F
+        plan = cf.exponential_plan_with_rate(segment, 1.0)
+        ext = cf.build_extension(cf.curve_jet(segment, plan))
+        ref = weakref.ref(ext)
+        gc.disable()
+        try:
+            cf.sample_flow(ext, segment.points[0], [0.0, 1.0])
+            del ext
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, math.nan], [1.0, 0.0],
+                                       [0.0, 1.0, 1.0], [0.0, math.inf]])
+    def test_rejects_bad_times(self, times):
+        with pytest.raises(ValueError, match="2 or more finite, strictly increasing"):
+            cf.sample_flow(isotropic_grad, np.array([1.0, 0.0]), times)
+
+    def test_rejects_unsmoothed_extension(self, segment):
+        plan = cf.exponential_plan_with_rate(segment, 1.0)
+        ext = cf.build_extension(cf.curve_jet(segment, plan), smoothing_eps=0.0)
+        with pytest.raises(ValueError, match="eps = 0"):
+            cf.sample_flow(ext, np.zeros(2), [0.0, 1.0])
+
+
+class TestPipelineFlow:
+    @pytest.mark.parametrize("kwargs", [
+        {"generator": "segment", "plan_kind": "exp"},
+        {"generator": "circle", "plan_kind": "exp"},
+        {"generator": "circle", "plan_kind": "endpoint"},
+        {"generator": "circle", "plan_kind": "zeta"},
+    ])
+    def test_sup_distance_matches_a_dop853_reference(self, kwargs):
+        report = cli.run_pipeline(cli.PipelineConfig(n_triples=2000, **kwargs))
+        res = report.results
+        ext = res["extension"]
+        rc = cf.reparameterize(res["curve"], res["plan"], 400, res["horizon"])
+        ref = solve_ivp(lambda t, x: -cf.eval_grad(ext, x), (0.0, rc.times[-1]),
+                        rc.points[0], method="DOP853", t_eval=rc.times,
+                        rtol=1e-11, atol=1e-13)
+        exact = cf.roundtrip_error(Trajectory(ref.t, ref.y.T, np.zeros(len(ref.t))), rc)
+        flow_data = report.stages[-1]["data"]
+        assert abs(flow_data["sup_distance"] - exact.sup_distance) <= 1e-5
+
+    def test_grad_evals_reports_every_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(ext, x):
+            calls.append(np.ndim(x))
+            return cf.eval_grad(ext, x)
+
+        monkeypatch.setattr(flow, "eval_grad", counted)
+        report = cli.run_pipeline(cli.PipelineConfig(generator="circle",
+                                                     plan_kind="endpoint"))
+        assert report.exit_code == 0
+        # the solver's evaluations, then the 400 speeds in blocks of 64 rows
+        assert calls.count(2) == 7 and len(calls) <= 1000
+        assert report.stages[-1]["data"]["grad_evals"] == calls.count(1) + 400
 
 
 class TestRoundtripError:
