@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._scan import pairwise_min, tangent_chord
+from ._scan import mask_lower, pairwise_min, scratch, tangent_chord
 from .curve import Curve, RegularityEstimate
 from .errors import BoundViolated, NotStronglyContracted
 
@@ -73,7 +73,7 @@ def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
 
     def block(i0, i1):
         ip, gaps = tangent_chord(curve, i0, i1)
-        return np.divide(ip, gaps, out=np.full_like(ip, np.inf), where=gaps > 0)
+        return mask_lower(np.divide(ip, gaps, out=ip))
 
     qmin, i, j = pairwise_min(block, len(t))
     worst = (float(t[i]), float(t[j]), qmin)
@@ -176,22 +176,29 @@ class TaylorReport:
         }
 
 
-def _taylor_scan(curve: Curve, constant: float, power: float):
+def _taylor_scan(curve: Curve, bounds: list) -> list:
+    """Min and witness of the slack of each (constant, power) bound, in one pass."""
     t, P, T = curve.params, curve.points, curve.tangents
 
     def block(i0, i1):
         ip, gaps = tangent_chord(curve, i0, i1)
-        out = np.full_like(ip, np.inf)
-        valid = gaps > 0
-        g = gaps[valid]
-        out[valid] = ip[valid] - (g - constant * g**power)
+        out = scratch("taylor", (len(bounds),) + ip.shape)
+        for slack, (constant, power) in zip(out, bounds):
+            # ip - (gap - constant * gap**power)
+            np.power(gaps, power, out=slack)
+            slack *= constant
+            np.subtract(gaps, slack, out=slack)
+            np.subtract(ip, slack, out=slack)
+            mask_lower(slack)
         return out
 
-    worst, i, j = pairwise_min(block, len(t))
-    gap = t[j] - t[i]
-    lhs = float(T[i] @ (P[j] - P[i]))
-    rhs = float(gap - constant * gap**power)
-    return worst, (float(t[i]), float(t[j]), lhs, rhs)
+    results = []
+    for (constant, power), (worst, i, j) in zip(bounds, pairwise_min(block, len(t))):
+        gap = t[j] - t[i]
+        lhs = float(T[i] @ (P[j] - P[i]))
+        rhs = float(gap - constant * gap**power)
+        results.append((worst, (float(t[i]), float(t[j]), lhs, rhs)))
+    return results
 
 
 def check_taylor_bound(curve: Curve, reg: RegularityEstimate,
@@ -199,19 +206,22 @@ def check_taylor_bound(curve: Curve, reg: RegularityEstimate,
     """Verify <T(t), gamma(s)-gamma(t)> >= (s-t) - C (s-t)^{2 alpha + 1}.
 
     C is reg.c1; when reg carries a third-derivative bound the cubic variant
-    with C1 = bound / 6 is verified too. Raises BoundViolated with the
-    witness pair when a slack dips below -tol_factor * L.
+    with C1 = bound / 6 is verified too, in the same pass over the pairs.
+    Raises BoundViolated with the witness pair when a slack dips below
+    -tol_factor * L, the Hoelder bound first.
     """
     tol = tol_factor * curve.length
-    slack, witness = _taylor_scan(curve, reg.c1, 2.0 * reg.alpha + 1.0)
+    bounds = [(reg.c1, 2.0 * reg.alpha + 1.0)]
+    if reg.third_deriv_bound is not None:
+        bounds.append((reg.third_deriv_bound / 6.0, 3.0))
+    (slack, witness), *cubic = _taylor_scan(curve, bounds)
     if slack < -tol:
         raise BoundViolated(
             f"Hoelder Taylor bound violated by {slack:.3g}; "
             f"increase the safety factor", witness)
     cubic_slack = cubic_witness = None
-    if reg.third_deriv_bound is not None:
-        c1_cubic = reg.third_deriv_bound / 6.0
-        cubic_slack, cubic_witness = _taylor_scan(curve, c1_cubic, 3.0)
+    if cubic:
+        cubic_slack, cubic_witness = cubic[0]
         if cubic_slack < -tol:
             raise BoundViolated(
                 f"cubic Taylor bound violated by {cubic_slack:.3g}", cubic_witness)

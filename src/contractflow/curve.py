@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._scan import map_blocks
+from ._scan import map_blocks, mask_lower, pair_gaps, scratch
 from .errors import (
     DegenerateCurve,
     DuplicatePoint,
@@ -391,11 +391,21 @@ def holder_seminorm(curve: Curve, alpha: float,
     t, T = curve.params, curve.tangents
 
     def block_max(i0, i1):
-        # rows i0:i1 against the columns j > i0; pairs j <= i are masked out
-        gaps = t[None, i0 + 1:] - t[i0:i1, None]
-        diffs = np.linalg.norm(T[None, i0 + 1:] - T[i0:i1, None], axis=2)
-        valid = gaps > 0
-        return float((diffs[valid] / gaps[valid]**alpha).max())
+        # rows i0:i1 against the columns j >= i0, one coordinate at a time
+        gaps = pair_gaps(t, i0, i1)
+        dist, diff = scratch("dist", gaps.shape), scratch("diff", gaps.shape)
+        for k in range(T.shape[1]):
+            np.subtract(T[None, i0:, k], T[i0:i1, None, k], out=diff)
+            if k == 0:
+                np.multiply(diff, diff, out=dist)
+            else:
+                diff *= diff
+                dist += diff
+        np.sqrt(dist, out=dist)
+        if alpha != 1.0:
+            np.power(gaps, alpha, out=gaps)
+        dist /= gaps
+        return float(mask_lower(dist, -np.inf).max())
 
     sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
     c1 = sem * sem / (2.0 * (2.0 * alpha + 1.0))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scan import block_argmin, map_blocks
+from ._scan import LOWER, block_argmin, map_blocks, scratch
 from .curve import Curve
 from .errors import ConditionCFailed
 from .repar import ReparamPlan
@@ -90,15 +90,31 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
         band = tol * max(float(np.abs(f).max()), 1e-300)
 
         def block(i0, i1):
-            slack = f[i0:i1, None] - f[None, :] - (x[i0:i1] @ g.T - own[None, :])
-            np.fill_diagonal(slack[:, i0:], np.inf)  # the diagonal is not a pair
-            above = np.arange(len(f))[None, :] > np.arange(i0, i1)[:, None]
-            r, c = np.nonzero(np.abs(slack) <= band)
-            neg_gap = np.full_like(slack, np.inf)
-            neg_gap[r, c] = -np.linalg.norm(g[i0 + r] - g[c], axis=1)
-            return (block_argmin(slack, i0), np.min(slack, where=above, initial=np.inf),
-                    np.min(slack, where=~above, initial=np.inf), len(r),
-                    block_argmin(neg_gap, i0))
+            shape = (i1 - i0, len(f))
+            cross, slack = scratch("cross", shape), scratch("slack", shape)
+            np.matmul(x[i0:i1], g.T, out=cross)
+            cross -= own[None, :]
+            np.subtract(f[i0:i1, None], f[None, :], out=slack)
+            slack -= cross
+            corner = slack[:, i0:i1]
+            np.fill_diagonal(corner, np.inf)  # the diagonal is not a pair
+            lower = LOWER[:i1 - i0, :i1 - i0]
+            step1 = np.minimum(np.min(slack[:, i1:], initial=np.inf),
+                               np.min(corner, where=~lower, initial=np.inf))
+            step2 = np.minimum(np.min(slack[:, :i0], initial=np.inf),
+                               np.min(corner, where=lower, initial=np.inf))
+            least = block_argmin(slack, i0)
+            n_hits, widest = 0, (np.inf, i0, 0)
+            if not least[0] > band:  # else no |slack| is within the band
+                hits = np.less_equal(np.abs(slack, out=cross), band,
+                                     out=scratch("hits", shape, bool))
+                n_hits = int(np.count_nonzero(hits))
+                if n_hits:
+                    r, c = np.divmod(np.flatnonzero(hits), len(f))
+                    gaps = np.linalg.norm(g[i0 + r] - g[c], axis=1)
+                    w = int(np.argmax(gaps))
+                    widest = (-float(gaps[w]), i0 + int(r[w]), int(c[w]))
+            return least, step1, step2, n_hits, widest
 
         least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f)))
         jet._scans[tol] = (min(least), float(min(step1)), float(min(step2)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from ._scan import pairwise_min, tangent_chord
+from ._scan import mask_lower, pairwise_min, scratch, tangent_chord
 from .curve import Curve, RegularityEstimate
 from .errors import (
     DivergentA,
@@ -35,7 +35,9 @@ class ReparamPlan:
     """Reparameterization profile with closed-form evaluators.
 
     m is positive and nondecreasing on [0, L); theta(t) = integral of m;
-    T = theta(L) is the total flow time (may be +inf).
+    T = theta(L) is the total flow time (may be +inf). lhs_M(t, s, out=None)
+    is the (M) left-hand side m(t) int_t^s 1/m, written into ``out`` when
+    given (the pair scan of verify_M passes a reused buffer).
     """
 
     kind: str
@@ -88,10 +90,11 @@ def _exponential(curve: Curve, b: float, c0, c1) -> ReparamPlan:
     inv_m_integral = lambda t, s: (np.exp(-b * np.asarray(t, dtype=float))
                                    - np.exp(-b * np.asarray(s, dtype=float))) / b
 
-    def lhs(t, s):
-        gap = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
+    def lhs(t, s, out=None):
+        # -expm1(-b (s - t)) / b
+        gap = np.subtract(np.asarray(s, dtype=float), np.asarray(t, dtype=float), out=out)
         with np.errstate(over="ignore"):  # invalid s <= t entries get masked upstream
-            return -np.expm1(-b * gap) / b
+            return np.divide(np.expm1(np.multiply(gap, -b, out=out), out=out), -b, out=out)
 
     def theta(t):
         with np.errstate(over="ignore"):
@@ -164,12 +167,15 @@ def endpoint_plan(curve: Curve, c0: float, c1_cubic: float,
     inv_m = lambda t: dphi(t) * np.exp(-phi(t))
     inv_m_integral = lambda t, s: np.exp(-phi(t)) - np.exp(-phi(s))
 
-    def lhs(t, s):
+    def lhs(t, s, out=None):
+        # -expm1(-delta) / phi'(t), delta = b (s - t) (L - (s + t) / 2)
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        delta = b * (s - t) * (L - 0.5 * (s + t))
+        delta = np.multiply(np.subtract(s, t, out=out), b, out=out)
+        delta = np.multiply(delta, L - 0.5 * (s + t), out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return -np.expm1(-delta) / dphi(t)
+            val = np.expm1(np.negative(delta, out=out), out=out)
+            return np.divide(val, -dphi(t), out=out)
 
     # theta(L - w) = K (ln(L/w) - D(w)), K = e^{b L^2 / 2} / b,
     # D(w) = int_w^L (1 - e^{-b u^2 / 2}) du / u  (proper at u = 0)
@@ -227,11 +233,15 @@ def _check_zeta_hypothesis(curve: Curve, zeta) -> None:
     zvals = np.asarray(zeta(t), dtype=float)
 
     def block(i0, i1):
+        # ip / gap - (1 - zeta(s) gap^2)
         ip, gaps = tangent_chord(curve, i0, i1)
-        valid = gaps > 0
-        with np.errstate(invalid="ignore"):
-            bound = 1.0 - zvals[None, :] * gaps**2
-        return np.where(valid, ip / np.where(valid, gaps, 1.0) - bound, np.inf)
+        bound = scratch("bound", ip.shape)
+        np.multiply(gaps, gaps, out=bound)
+        bound *= zvals[None, i0:]
+        np.subtract(1.0, bound, out=bound)
+        np.divide(ip, gaps, out=ip)
+        ip -= bound
+        return mask_lower(ip)
 
     worst, i, j = pairwise_min(block, len(t))
     if worst < -1e-9:
@@ -302,9 +312,11 @@ def zeta_plan(curve: Curve, c0: float, zeta, zeta_min: float = 1e-3) -> ReparamP
     inv_m = lambda t: dphi(t) * np.exp(-phi(t))
     inv_m_integral = lambda t, s: np.exp(-phi(t)) - np.exp(-phi(s))
 
-    def lhs(t, s):
+    def lhs(t, s, out=None):
+        # -expm1(-(phi(s) - phi(t))) / phi'(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return -np.expm1(-(phi(s) - phi(t))) / dphi(t)
+            delta = np.negative(np.subtract(phi(s), phi(t), out=out), out=out)
+            return np.divide(np.expm1(delta, out=out), -dphi(t), out=out)
 
     # theta is tabulated once up to t_cap, the first grid node at or past
     # 0.999 L; the sliver up to L, where m may blow up, is integrated directly
@@ -368,18 +380,20 @@ def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:
     then ten off-grid pairs around the worst one refine the margin (the
     binding constraint lives at small s - t, which uniform grids straddle).
     For endpoint/zeta kinds pairs with s = L are excluded: the inequality is
-    only required for s < L there.
+    only required for s < L there. Rows without an admissible column are not
+    scanned.
     """
     t = curve.params
     n = len(t)
     jmax = n if plan.kind == "exponential" else n - 1
 
     def block(i0, i1):
-        ip, gaps = tangent_chord(curve, i0, i1, jmax)
-        lhs = plan.lhs_M(t[i0:i1, None], np.broadcast_to(t[None, :jmax], ip.shape))
-        return np.where(gaps > 0, ip - lhs, np.inf)
+        ip, _ = tangent_chord(curve, i0, i1, jmax)
+        with np.errstate(over="ignore"):  # only the masked pairs s <= t overflow
+            ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=scratch("lhs", ip.shape))
+        return mask_lower(ip)
 
-    margin, i, j = pairwise_min(block, n)
+    margin, i, j = pairwise_min(block, max(jmax - 1, 1))
     t0, s0 = float(t[i]), float(t[j])
     worst = (t0, s0)
 

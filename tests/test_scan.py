@@ -7,10 +7,12 @@ ties: duplicate anchors, equal slacks in different row blocks, and sizes
 that are not multiples of the 64-row block. Integer-valued jets make every
 slack exact in float64, so the engine must reproduce the reference's values
 and its first-witness tie rule bit for bit. Every comparison runs with
-CONTRACTFLOW_THREADS at 1 and at 3.
+CONTRACTFLOW_THREADS at 1 and at 3. At N = 4999 the references go one row at
+a time instead, so that no test holds an N x N array.
 """
 
 import os
+import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import contractflow as cf
-from contractflow import contract, flow
+from contractflow import contract, flow, repar
 from contractflow.extend import JetData
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -84,6 +86,18 @@ def dense_CW1(jet, tol):
     gaps = np.linalg.norm(jet.gradients[idx[:, 0]] - jet.gradients[idx[:, 1]], axis=1)
     w = int(np.argmax(gaps))
     return len(idx), (int(idx[w, 0]), int(idx[w, 1]), float(gaps[w]))
+
+
+def dense_taylor(curve, constant, power):
+    t, P, T = curve.params, curve.points, curve.tangents
+    n = len(t)
+    gaps = t[None, :] - t[:, None]
+    above = np.triu(np.ones((n, n), dtype=bool), k=1)
+    ip = T @ P.T - np.einsum("id,id->i", T, P)[:, None]
+    g = np.where(above, gaps, 1.0)
+    slack = np.where(above, ip - (g - constant * g**power), np.inf)
+    i, j = divmod(int(np.argmin(slack)), n)
+    return float(slack[i, j]), slack
 
 
 def assert_C_exact(jet):
@@ -152,6 +166,69 @@ def test_integer_jets_match_dense_exactly(seed, n, tol):
             assert_CW1_exact(jet, tol)
 
 
+@given(arc_chains, st.floats(min_value=0.55, max_value=1.0), st.floats(min_value=0.0, max_value=5.0))
+@settings(max_examples=25, deadline=None)
+def test_taylor_bounds_match_dense(params, alpha, third):
+    crv = build_chain(params)
+    reg = cf.holder_seminorm(crv, alpha).with_third_deriv(third)
+    bounds = ((reg.c1, 2.0 * alpha + 1.0, "holder"), (third / 6.0, 3.0, "cubic"))
+    for k in (1, 3):
+        with threads(k):
+            rep = cf.check_taylor_bound(crv, reg, tol_factor=np.inf)  # never raises
+        for constant, power, name in bounds:
+            ref, slack = dense_taylor(crv, constant, power)
+            value = getattr(rep, f"{name}_slack")
+            t0, s0, lhs, rhs = getattr(rep, f"{name}_witness")
+            i, j = np.searchsorted(crv.params, [t0, s0])
+            # the N x N product may round <T_i, P_j> differently in the last bit
+            assert value == pytest.approx(ref, abs=1e-14)
+            assert slack[i, j] == pytest.approx(value, abs=1e-14)
+            assert lhs - rhs == pytest.approx(value, abs=1e-14)
+
+
+def row_holder(curve, alpha, safety_factor=1.25):
+    # one row at a time: O(N) memory at any N
+    t, T = curve.params, curve.tangents
+    best = max(float((np.linalg.norm(T[i + 1:] - T[i], axis=1)
+                      / (t[i + 1:] - t[i]) ** alpha).max()) for i in range(len(t) - 1))
+    return safety_factor * best
+
+
+def row_M(curve, plan, i):
+    # the (M) margins of the pairs (i, i+1:jmax), one row at a time
+    t, P, T = curve.params, curve.points, curve.tangents
+    jmax = len(t) if plan.kind == "exponential" else len(t) - 1
+    return (P[i + 1:jmax] - P[i]) @ T[i] - plan.lhs_M(t[i], t[i + 1:jmax])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_large_scans_match_row_references(monkeypatch, k):
+    # N = 4999: 79 row blocks, the last of 7 rows; the references hold O(N)
+    # memory, never an N x N array
+    arc = cf.make_circle_arc(1.4, 4999)
+    plans = [cf.exponential_plan_with_rate(arc, 3.0),
+             cf.endpoint_plan(arc, cf.estimate_c0(arc), 1.0 / 6.0)]
+    grid = []
+    original = repar.pairwise_min
+
+    def recorded(block_fn, n_rows):
+        grid.append(original(block_fn, n_rows))
+        return grid[-1]
+
+    monkeypatch.setattr(repar, "pairwise_min", recorded)
+    with threads(k):
+        assert cf.holder_seminorm(arc, 0.75).holder_seminorm == row_holder(arc, 0.75)
+        reports = [cf.verify_M(arc, plan) for plan in plans]
+    for plan, (margin, i, j) in zip(plans, grid):
+        n_rows = len(arc.params) - (1 if plan.kind == "exponential" else 2)
+        ref = min(float(row_M(arc, plan, r).min()) for r in range(n_rows))
+        # a row product may round <T_i, P_j> differently in the last bit
+        assert margin == pytest.approx(ref, abs=1e-14)
+        assert row_M(arc, plan, i)[j - i - 1] == pytest.approx(margin, abs=1e-14)
+    with threads(1 if k > 1 else 3):
+        assert [cf.verify_M(arc, plan) for plan in plans] == reports
+
+
 # ---------------------------------------------------------------------------
 # planted ties
 
@@ -171,6 +248,28 @@ def test_equal_slacks_across_blocks(k, n):
         assert_CW1_exact(jet, 1e-9)
         rep = cf.check_CW1(jet)
     assert rep.n_equality_pairs > 0  # duplicated anchors with equal values
+
+
+def test_threads_never_share_scratch():
+    # more threads than cores, switching every microsecond: a buffer shared by
+    # two threads would corrupt a block and change a result
+    arc = cf.make_circle_arc(1.4, 1000)
+    plan = cf.exponential_plan_with_rate(arc, 3.0)
+
+    def results():
+        return (cf.holder_seminorm(arc, 0.75), cf.check_strong(arc), cf.verify_M(arc, plan),
+                cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan), 1e-3))
+
+    with threads(1):
+        serial = results()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with threads(8):
+            for _ in range(3):
+                assert results() == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -228,6 +327,44 @@ def test_classify_scans_pairs_once(monkeypatch, quarter_circle):
     rep = cf.classify(quarter_circle, 2000)
     assert rep.level == contract.ContractLevel.UNIFORMLY_STRONGLY
     assert len(calls) == 1
+
+
+def test_taylor_bound_scans_pairs_once(monkeypatch, quarter_circle):
+    reg = cf.holder_seminorm(quarter_circle, 1.0)
+    reg = reg.with_third_deriv(cf.third_deriv_bound(quarter_circle).bound)
+    calls = _count_scans(monkeypatch)
+    rep = cf.check_taylor_bound(quarter_circle, reg)
+    assert rep.cubic_slack is not None
+    assert len(calls) == 1
+
+
+def _count_pairs(monkeypatch):
+    """Sizes of every block that contract's and repar's pair scans evaluate."""
+    sizes = []
+    for module in (contract, repar):
+        def counted(block_fn, n_rows, original=module.pairwise_min):
+            def sized(i0, i1):
+                vals = block_fn(i0, i1)
+                sizes.append(vals.size)
+                return vals
+            return original(sized, n_rows)
+
+        monkeypatch.setattr(module, "pairwise_min", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [131, 1000])
+def test_scans_visit_the_upper_triangle_only(monkeypatch, n):
+    # a full row block would visit n^2 pairs; the pairs j > i are n (n - 1) / 2
+    arc = cf.make_circle_arc(1.4, n)
+    c0 = cf.estimate_c0(arc)
+    plans = [cf.exponential_plan_with_rate(arc, 3.0), cf.endpoint_plan(arc, c0, 1.0 / 6.0)]
+    sizes = _count_pairs(monkeypatch)
+    checks = [lambda: cf.check_strong(arc)] + [lambda p=p: cf.verify_M(arc, p) for p in plans]
+    for check in checks:
+        sizes.clear()
+        check()
+        assert n * (n - 1) // 2 - n <= sum(sizes) <= n * (n + 1) // 2 + 64 * n
 
 
 def test_converse_check_scans_pairs_once(monkeypatch):
