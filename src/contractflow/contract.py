@@ -109,42 +109,69 @@ def upgrade_uniform(strong: ContractReport, deflation: float = 0.9) -> ContractR
     return replace(strong, level=level, c0=c0)
 
 
+def _chord_lengths(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||P[a] - P[b]|| row by row, bitwise equal to ``np.linalg.norm(axis=1)``.
+
+    Below 8 coordinates NumPy sums the squares in coordinate order, so the
+    rows are built one coordinate at a time from 1-D gathers; from 8 on it
+    sums them pairwise, and the rows are gathered whole.
+    """
+    if P.shape[1] >= 8:
+        return np.linalg.norm(P.take(a, axis=0) - P.take(b, axis=0), axis=1)
+    out = None
+    for x in P.T:
+        x = np.ascontiguousarray(x)
+        diff = x.take(a)
+        diff -= x.take(b)
+        diff *= diff
+        if out is None:
+            out = diff
+        else:
+            out += diff
+    return np.sqrt(out, out=out)
+
+
 def check_self_contracted_metric(curve: Curve, n_triples: int,
                                  seed: int = 0, tol_factor: float = 1e-9) -> ContractReport:
     """Metric triple inequality on random triples plus all consecutive ones.
 
     The random sample is stratified over triple spans so that both local and
-    global configurations are covered. Violation threshold is
+    global configurations are covered: 8 strata of n_triples // 8 draws,
+    each a start index and two gaps below the stratum's span. Draws that run
+    past the last sample are dropped (their slack is +inf), and the first
+    triple of least slack is the witness. Violation threshold is
     tol = tol_factor * L.
     """
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
     n = curve.n_samples
+    if n < 3:
+        raise ValueError(f"the metric check needs at least 3 samples, got {n}")
     t, P = curve.params, curve.points
     rng = np.random.default_rng(seed)
 
-    chunks = []
     n_strata = 8
     per = max(n_triples // n_strata, 1)
+    # one row per triple index; the consecutive triples follow the strata
+    idx = np.empty((3, n_strata * per + n - 2), dtype=np.int64)
     for k in range(n_strata):
         span = max(int(n * 2.0 ** (k - n_strata + 1)), 3)
-        i = rng.integers(0, n - 2, size=per)
-        j = i + rng.integers(1, span, size=per)
-        kk = j + rng.integers(1, span, size=per)
-        keep = kk < n
-        chunks.append(np.stack([i[keep], j[keep], kk[keep]], axis=1))
-    cons = np.stack([np.arange(n - 2), np.arange(1, n - 1), np.arange(2, n)], axis=1)
-    chunks.append(cons)
-    triples = np.concatenate(chunks, axis=0)
+        i, j, kk = idx[:, k * per:(k + 1) * per]
+        i[:] = rng.integers(0, n - 2, size=per)
+        np.add(i, rng.integers(1, span, size=per), out=j)
+        np.add(j, rng.integers(1, span, size=per), out=kk)
+    idx[:, n_strata * per:] = np.arange(n - 2) + np.arange(3)[:, None]
+    dropped = idx[2] >= n
+    np.minimum(idx, n - 1, out=idx)
 
-    d13 = np.linalg.norm(P[triples[:, 0]] - P[triples[:, 2]], axis=1)
-    d23 = np.linalg.norm(P[triples[:, 1]] - P[triples[:, 2]], axis=1)
-    slack = d13 - d23
+    slack = _chord_lengths(P, idx[0], idx[2])
+    slack -= _chord_lengths(P, idx[1], idx[2])
+    slack[dropped] = np.inf
     w = int(np.argmin(slack))
     tol = tol_factor * curve.length
     level = (ContractLevel.NOT_SELF_CONTRACTED if slack[w] < -tol
              else ContractLevel.SELF_CONTRACTED)
-    worst = tuple(float(t[idx]) for idx in triples[w]) + (float(slack[w]),)
+    worst = tuple(float(t[m]) for m in idx[:, w]) + (float(slack[w]),)
     return ContractReport(level=level, c0=0.0, worst_pair=None,
                           worst_triple=worst, tol=tol)
 

@@ -3,6 +3,11 @@
 Every curve in the pipeline is an arc-length parameterized sample set
 (params, points, unit tangents) plus, when available, exact evaluators for
 the underlying parameterization. All downstream constants assume unit speed.
+
+Evaluators work on whole arrays: each maps an array of raw parameters (or a
+0-d one) to one row per entry. The built-in generators pass such evaluators
+directly; ``make_analytic`` accepts scalar ones and wraps each once with
+``np.vectorize``, one Python call per parameter.
 """
 
 from __future__ import annotations
@@ -62,7 +67,11 @@ class _ArcLengthMap:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Exact evaluators in the raw parameter, plus the arc-length map."""
+    """Exact evaluators in the raw parameter, plus the arc-length map.
+
+    Every evaluator maps an array of parameters (or a 0-d one) to one row
+    per entry.
+    """
 
     gamma: object
     dgamma: object
@@ -245,23 +254,32 @@ def from_samples(raw_points, n_resample: int) -> Curve:
     return _resample(geom, n_resample, "sampled")
 
 
-def make_analytic(gamma, gamma_prime, domain, n_samples: int,
-                  second_derivative=None, third_derivative=None) -> Curve:
-    """Arc-length resampled curve from exact evaluators on ``domain``.
-
-    Raises StationaryPoint if the speed drops below 1e-10 on the probe grid.
-    """
+def _from_evaluators(gamma, dgamma, domain, n_samples: int,
+                     d2gamma=None, d3gamma=None) -> Curve:
+    """Arc-length resampled curve from array evaluators on ``domain``."""
     u0, u1 = float(domain[0]), float(domain[1])
     if not u1 > u0:
         raise ValueError("domain must have positive width")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    # scalar evaluators that also map an array of parameters to one row each
-    g, dg = (np.vectorize(f, otypes=[float], signature="()->(d)")
-             for f in (gamma, gamma_prime))
-    geom = _Geometry(gamma=g, dgamma=dg, arcmap=_ArcLengthMap(dg, [u0, u1]),
-                     d2gamma=second_derivative, d3gamma=third_derivative)
+    geom = _Geometry(gamma=gamma, dgamma=dgamma, arcmap=_ArcLengthMap(dgamma, [u0, u1]),
+                     d2gamma=d2gamma, d3gamma=d3gamma)
     return _resample(geom, n_samples, "analytic")
+
+
+def make_analytic(gamma, gamma_prime, domain, n_samples: int,
+                  second_derivative=None, third_derivative=None) -> Curve:
+    """Arc-length resampled curve from exact scalar evaluators on ``domain``.
+
+    Each evaluator maps one parameter to a point (or derivative) vector.
+    Raises StationaryPoint if the speed drops below 1e-10 on the probe grid.
+    """
+    def on_arrays(f):
+        # one Python call per parameter: an array of parameters gives one row each
+        return None if f is None else np.vectorize(f, otypes=[float], signature="()->(d)")
+
+    return _from_evaluators(on_arrays(gamma), on_arrays(gamma_prime), domain, n_samples,
+                            on_arrays(second_derivative), on_arrays(third_derivative))
 
 
 def resample(curve: Curve, n: int) -> Curve:
@@ -271,6 +289,11 @@ def resample(curve: Curve, n: int) -> Curve:
     return from_samples(curve.points, n)
 
 
+def _rows(*coords):
+    """Coordinate arrays of equal shape stacked into one row per entry."""
+    return np.stack(coords, axis=-1)
+
+
 def make_segment(p0, p1, n_samples: int = 100) -> Curve:
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -278,10 +301,10 @@ def make_segment(p0, p1, n_samples: int = 100) -> Curve:
     if L < 1e-12:
         raise DegenerateCurve("segment endpoints coincide")
     d = (p1 - p0) / L
-    zero = np.zeros_like(d)
-    return make_analytic(lambda u: p0 + u * d, lambda u: d, (0.0, L), n_samples,
-                         second_derivative=lambda u: zero,
-                         third_derivative=lambda u: zero)
+    gamma = lambda u: p0 + np.multiply.outer(u, d)
+    dgamma = lambda u: np.tile(d, np.shape(u) + (1,))
+    zero = lambda u: np.zeros(np.shape(u) + d.shape)
+    return _from_evaluators(gamma, dgamma, (0.0, L), n_samples, d2gamma=zero, d3gamma=zero)
 
 
 def make_circle_arc(angle: float = math.pi / 2, n_samples: int = 200,
@@ -290,12 +313,11 @@ def make_circle_arc(angle: float = math.pi / 2, n_samples: int = 200,
     if angle <= 0 or radius <= 0:
         raise ValueError("angle and radius must be positive")
     R = float(radius)
-    gamma = lambda u: np.array([R * math.cos(u / R), R * math.sin(u / R)])
-    dgamma = lambda u: np.array([-math.sin(u / R), math.cos(u / R)])
-    d2 = lambda u: np.array([-math.cos(u / R), -math.sin(u / R)]) / R
-    d3 = lambda u: np.array([math.sin(u / R), -math.cos(u / R)]) / R**2
-    return make_analytic(gamma, dgamma, (0.0, R * angle), n_samples,
-                         second_derivative=d2, third_derivative=d3)
+    gamma = lambda u: _rows(R * np.cos(u / R), R * np.sin(u / R))
+    dgamma = lambda u: _rows(-np.sin(u / R), np.cos(u / R))
+    d2 = lambda u: _rows(-np.cos(u / R), -np.sin(u / R)) / R
+    d3 = lambda u: _rows(np.sin(u / R), -np.cos(u / R)) / R**2
+    return _from_evaluators(gamma, dgamma, (0.0, R * angle), n_samples, d2gamma=d2, d3gamma=d3)
 
 
 def make_log_spiral(lam: float, t_max: float, n_samples: int) -> Curve:
@@ -311,11 +333,19 @@ def make_log_spiral(lam: float, t_max: float, n_samples: int) -> Curve:
     w = 1j - lam
 
     def deriv(order):
+        # c e^{w u} with the complex product written out in real parts, each
+        # rounded on its own as in a scalar complex product; NumPy's complex
+        # array product may fuse a multiply-add and round differently
         c = w**order
-        return lambda u: np.array([(c * np.exp(w * u)).real, (c * np.exp(w * u)).imag])
 
-    return make_analytic(deriv(0), deriv(1), (0.0, t_max), n_samples,
-                         second_derivative=deriv(2), third_derivative=deriv(3))
+        def f(u):
+            e = np.exp(w * u)
+            return _rows(c.real * e.real - c.imag * e.imag, c.real * e.imag + c.imag * e.real)
+
+        return f
+
+    return _from_evaluators(deriv(0), deriv(1), (0.0, t_max), n_samples,
+                            d2gamma=deriv(2), d3gamma=deriv(3))
 
 
 def log_spiral_arclength(lam: float, t_max: float) -> float:
@@ -352,17 +382,17 @@ def make_arc_chain(curvatures, lengths, n_samples: int = 100,
         # du sinc(kap du / 2) (cos, sin)(psi + kap du / 2): cancellation-free
         # for every curvature, unlike (sin psi2 - sin psi) / kap
         half = 0.5 * kap * du
-        s = math.sin(half) / half if half != 0.0 else 1.0
+        s = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
         mid = psi + half
-        return du * s * np.array([math.cos(mid), math.sin(mid)])
+        return (du * s)[..., None] * _rows(np.cos(mid), np.sin(mid))
 
     starts = [np.asarray(start, dtype=float)]
     for k, (kap, a, b) in enumerate(zip(ks, breaks[:-1], breaks[1:])):
         starts.append(starts[-1] + arc_step(psis[k], kap, b - a))
+    starts = np.array(starts)
 
     def locate(u):
-        j = int(np.searchsorted(breaks, u, side="right") - 1)
-        return min(max(j, 0), len(ks) - 1)
+        return np.clip(np.searchsorted(breaks, u, side="right") - 1, 0, len(ks) - 1)
 
     def gamma(u):
         j = locate(u)
@@ -371,9 +401,9 @@ def make_arc_chain(curvatures, lengths, n_samples: int = 100,
     def dgamma(u):
         j = locate(u)
         psi2 = psis[j] + ks[j] * (u - breaks[j])
-        return np.array([math.cos(psi2), math.sin(psi2)])
+        return _rows(np.cos(psi2), np.sin(psi2))
 
-    return make_analytic(gamma, dgamma, (0.0, breaks[-1]), n_samples)
+    return _from_evaluators(gamma, dgamma, (0.0, breaks[-1]), n_samples)
 
 
 def holder_seminorm(curve: Curve, alpha: float,
@@ -431,9 +461,9 @@ def third_deriv_bound(curve: Curve, safety_factor: float = 1.25) -> ThirdDerivat
     """
     g = curve.geometry
     if g is not None and g.d3gamma is not None and g.unit_speed:
-        u = g.arcmap.u0 + curve.params
-        vals = np.array([np.linalg.norm(np.asarray(g.d3gamma(uk), dtype=float))
-                         for uk in u])
+        v = np.asarray(g.d3gamma(g.arcmap.u0 + curve.params), dtype=float)
+        # per-row sqrt(v . v): the same dot product as a 1-D np.linalg.norm
+        vals = np.sqrt(np.vecdot(v, v))
     else:
         if curve.n_samples < 7:
             raise ValueError("finite-difference estimate needs at least 7 samples")

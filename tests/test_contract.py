@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import contractflow as cf
-from contractflow.contract import ContractLevel
+from contractflow.contract import ContractLevel, ContractReport
 from contractflow.errors import BoundViolated, NotStronglyContracted
 
 
@@ -32,6 +32,77 @@ class TestMetricCheck:
         assert worst >= -1e-12
         rep = cf.check_self_contracted_metric(crv, 20_000, seed=3)
         assert rep.level == ContractLevel.SELF_CONTRACTED
+
+
+    def test_two_samples_rejected(self):
+        crv = cf.make_segment([0.0, 0.0], [1.0, 0.0], 2)
+        for check in (lambda: cf.check_self_contracted_metric(crv, 100),
+                      lambda: cf.classify(crv, 100)):
+            with pytest.raises(ValueError, match="at least 3 samples"):
+                check()
+
+
+def _sampled_metric_reference(curve, n_triples, seed=0, tol_factor=1e-9):
+    """The metric check as first written: 24 draws compressed by boolean masks."""
+    n = curve.n_samples
+    t, P = curve.params, curve.points
+    rng = np.random.default_rng(seed)
+    chunks = []
+    n_strata = 8
+    per = max(n_triples // n_strata, 1)
+    for k in range(n_strata):
+        span = max(int(n * 2.0 ** (k - n_strata + 1)), 3)
+        i = rng.integers(0, n - 2, size=per)
+        j = i + rng.integers(1, span, size=per)
+        kk = j + rng.integers(1, span, size=per)
+        keep = kk < n
+        chunks.append(np.stack([i[keep], j[keep], kk[keep]], axis=1))
+    cons = np.stack([np.arange(n - 2), np.arange(1, n - 1), np.arange(2, n)], axis=1)
+    chunks.append(cons)
+    triples = np.concatenate(chunks, axis=0)
+    d13 = np.linalg.norm(P[triples[:, 0]] - P[triples[:, 2]], axis=1)
+    d23 = np.linalg.norm(P[triples[:, 1]] - P[triples[:, 2]], axis=1)
+    slack = d13 - d23
+    w = int(np.argmin(slack))
+    tol = tol_factor * curve.length
+    level = (ContractLevel.NOT_SELF_CONTRACTED if slack[w] < -tol
+             else ContractLevel.SELF_CONTRACTED)
+    worst = tuple(float(t[idx]) for idx in triples[w]) + (float(slack[w]),)
+    return ContractReport(level=level, c0=0.0, worst_pair=None,
+                          worst_triple=worst, tol=tol)
+
+
+def _random_walk_curve(n, d, seed):
+    rng = np.random.default_rng([n, d, seed])
+    params = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+    tangents = rng.standard_normal((n, d))
+    tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+    return cf.Curve(params=params, points=np.cumsum(rng.standard_normal((n, d)), axis=0),
+                    tangents=tangents)
+
+
+class TestMetricCheckOracle:
+    """The array metric check reproduces the masked reference bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 50, 200, 1000, 5000])
+    @pytest.mark.parametrize("d", [2, 3, 5, 9])
+    def test_random_walks(self, n, d):
+        for seed in (0, 1):
+            crv = _random_walk_curve(n, d, seed)
+            for n_triples in (1, 7, 2000, 100_000):
+                assert (repr(cf.check_self_contracted_metric(crv, n_triples, seed=seed))
+                        == repr(_sampled_metric_reference(crv, n_triples, seed=seed)))
+
+    @pytest.mark.parametrize("n", [3, 200, 1000])
+    def test_segment_ties_keep_first_witness(self, n):
+        # integer points on a line: every triple with j = i + 1 has slack
+        # exactly 1, the minimum, so the first such triple is the witness
+        crv = cf.make_segment([0.0, 0.0], [n - 1.0, 0.0], n)
+        for seed in (0, 1, 2):
+            for n_triples in (7, 2000, 100_000):
+                rep = cf.check_self_contracted_metric(crv, n_triples, seed=seed)
+                assert rep.worst_triple[-1] == 1.0
+                assert repr(rep) == repr(_sampled_metric_reference(crv, n_triples, seed=seed))
 
 
 class TestCheckStrong:

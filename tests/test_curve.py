@@ -259,3 +259,117 @@ class TestIO:
         back = cf.curve.load_csv(path)
         p = back.point_at(0.5)
         np.testing.assert_allclose(p, [np.cos(0.5), np.sin(0.5)], atol=1e-6)
+
+
+# The built-in generators as first written: scalar evaluators through make_analytic.
+
+def _scalar_segment(p0, p1, n):
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    L = float(np.linalg.norm(p1 - p0))
+    d = (p1 - p0) / L
+    zero = np.zeros_like(d)
+    return cf.make_analytic(lambda u: p0 + u * d, lambda u: d, (0.0, L), n,
+                            second_derivative=lambda u: zero,
+                            third_derivative=lambda u: zero)
+
+
+def _scalar_circle_arc(angle, n, R):
+    gamma = lambda u: np.array([R * math.cos(u / R), R * math.sin(u / R)])
+    dgamma = lambda u: np.array([-math.sin(u / R), math.cos(u / R)])
+    d2 = lambda u: np.array([-math.cos(u / R), -math.sin(u / R)]) / R
+    d3 = lambda u: np.array([math.sin(u / R), -math.cos(u / R)]) / R**2
+    return cf.make_analytic(gamma, dgamma, (0.0, R * angle), n,
+                            second_derivative=d2, third_derivative=d3)
+
+
+def _scalar_log_spiral(lam, t_max, n):
+    w = 1j - lam
+
+    def deriv(order):
+        c = w**order
+        return lambda u: np.array([(c * np.exp(w * u)).real, (c * np.exp(w * u)).imag])
+
+    return cf.make_analytic(deriv(0), deriv(1), (0.0, t_max), n,
+                            second_derivative=deriv(2), third_derivative=deriv(3))
+
+
+def _scalar_arc_chain(curvatures, lengths, n, start, heading):
+    ks, ls = np.asarray(curvatures, dtype=float), np.asarray(lengths, dtype=float)
+    breaks = np.concatenate([[0.0], np.cumsum(ls)])
+    psis = np.concatenate([[heading], heading + np.cumsum(ks * ls)])
+
+    def arc_step(psi, kap, du):
+        half = 0.5 * kap * du
+        s = math.sin(half) / half if half != 0.0 else 1.0
+        mid = psi + half
+        return du * s * np.array([math.cos(mid), math.sin(mid)])
+
+    starts = [np.asarray(start, dtype=float)]
+    for k, (kap, a, b) in enumerate(zip(ks, breaks[:-1], breaks[1:])):
+        starts.append(starts[-1] + arc_step(psis[k], kap, b - a))
+
+    def locate(u):
+        j = int(np.searchsorted(breaks, u, side="right") - 1)
+        return min(max(j, 0), len(ks) - 1)
+
+    def gamma(u):
+        j = locate(u)
+        return starts[j] + arc_step(psis[j], ks[j], u - breaks[j])
+
+    def dgamma(u):
+        j = locate(u)
+        psi2 = psis[j] + ks[j] * (u - breaks[j])
+        return np.array([math.cos(psi2), math.sin(psi2)])
+
+    return cf.make_analytic(gamma, dgamma, (0.0, breaks[-1]), n)
+
+
+_GENERATORS = {
+    "segment": (lambda n: cf.make_segment([0.3, -1.0, 0.0], [1.1, 0.4, -0.0], n),
+                lambda n: _scalar_segment([0.3, -1.0, 0.0], [1.1, 0.4, -0.0], n)),
+    "circle": (lambda n: cf.make_circle_arc(2.3, n, 1.7),
+               lambda n: _scalar_circle_arc(2.3, n, 1.7)),
+    "spiral": (lambda n: cf.make_log_spiral(0.3, 9.0, n),
+               lambda n: _scalar_log_spiral(0.3, 9.0, n)),
+    "arc-chain": (lambda n: cf.make_arc_chain([0.0, 1.5, -2.5], [0.4, 0.7, 0.3], n,
+                                              start=(1.0, -2.0), heading=0.4),
+                  lambda n: _scalar_arc_chain([0.0, 1.5, -2.5], [0.4, 0.7, 0.3], n,
+                                              (1.0, -2.0), 0.4)),
+}
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _third_bound(crv):
+    try:
+        return cf.third_deriv_bound(crv).values
+    except (ValueError, InsufficientRegularity) as exc:  # finite differences on few samples
+        return repr(exc)
+
+
+class TestArrayGenerators:
+    """Array evaluators reproduce the scalar ones through make_analytic bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    @pytest.mark.parametrize("n", [2, 3, 200, 5000])
+    def test_matches_scalar_evaluators(self, name, n):
+        if name == "spiral" and n < 10:
+            n += 8  # the spiral generator needs at least 10 samples
+        array_gen, scalar_gen = _GENERATORS[name]
+        crv, ref = array_gen(n), scalar_gen(n)
+        for field in ("params", "points", "tangents"):
+            assert _bitwise(getattr(crv, field), getattr(ref, field)), field
+        got, want = _third_bound(crv), _third_bound(ref)
+        assert got == want if isinstance(want, str) else _bitwise(got, want)
+
+        t = np.concatenate([crv.params, np.random.default_rng(n).uniform(0.0, crv.length, 300)])
+        for method in ("point_at", "tangent_at"):
+            assert _bitwise(getattr(crv, method)(t), getattr(ref, method)(t)), method
+            for tk in t[::max(len(t) // 40, 1)]:
+                value = getattr(crv, method)(tk)
+                assert value.shape == (crv.dim,)
+                assert _bitwise(value, getattr(ref, method)(tk)), (method, tk)
+                assert _bitwise(value, getattr(crv, method)(float(tk))), (method, tk)
