@@ -152,26 +152,35 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
 
     n_strata = 8
     per = max(n_triples // n_strata, 1)
-    # one row per triple index; the consecutive triples follow the strata
-    idx = np.empty((3, n_strata * per + n - 2), dtype=np.int64)
+
+    def least(i, j, kk):
+        """(slack, i, j, k) of the chunk's first least slack."""
+        dropped = kk >= n
+        np.minimum(j, n - 1, out=j)
+        np.minimum(kk, n - 1, out=kk)
+        slack = _chord_lengths(P, i, kk)
+        slack -= _chord_lengths(P, j, kk)
+        slack[dropped] = np.inf
+        w = int(np.argmin(slack))
+        return slack[w], i[w], j[w], kk[w]
+
+    # one stratum at a time, each scored before the next is drawn: the same
+    # draws in the same order as drawing them all first
+    chunks = []
     for k in range(n_strata):
         span = max(int(n * 2.0 ** (k - n_strata + 1)), 3)
-        i, j, kk = idx[:, k * per:(k + 1) * per]
-        i[:] = rng.integers(0, n - 2, size=per)
-        np.add(i, rng.integers(1, span, size=per), out=j)
-        np.add(j, rng.integers(1, span, size=per), out=kk)
-    idx[:, n_strata * per:] = np.arange(n - 2) + np.arange(3)[:, None]
-    dropped = idx[2] >= n
-    np.minimum(idx, n - 1, out=idx)
-
-    slack = _chord_lengths(P, idx[0], idx[2])
-    slack -= _chord_lengths(P, idx[1], idx[2])
-    slack[dropped] = np.inf
-    w = int(np.argmin(slack))
+        i = rng.integers(0, n - 2, size=per)
+        j = i + rng.integers(1, span, size=per)
+        chunks.append(least(i, j, j + rng.integers(1, span, size=per)))
+    i = np.arange(n - 2)
+    chunks.append(least(i, i + 1, i + 2))
+    # argmin over the chunk minima keeps argmin's rule over all triples: the
+    # first NaN, else the first least slack
+    slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
     tol = tol_factor * curve.length
-    level = (ContractLevel.NOT_SELF_CONTRACTED if slack[w] < -tol
+    level = (ContractLevel.NOT_SELF_CONTRACTED if slack < -tol
              else ContractLevel.SELF_CONTRACTED)
-    worst = tuple(float(t[m]) for m in idx[:, w]) + (float(slack[w]),)
+    worst = tuple(float(t[m]) for m in triple) + (float(slack),)
     return ContractReport(level=level, c0=0.0, worst_pair=None,
                           worst_triple=worst, tol=tol)
 

@@ -76,7 +76,6 @@ class _Geometry:
     gamma: object
     dgamma: object
     arcmap: _ArcLengthMap
-    d2gamma: object = None
     d3gamma: object = None
 
     @property
@@ -254,8 +253,7 @@ def from_samples(raw_points, n_resample: int) -> Curve:
     return _resample(geom, n_resample, "sampled")
 
 
-def _from_evaluators(gamma, dgamma, domain, n_samples: int,
-                     d2gamma=None, d3gamma=None) -> Curve:
+def _from_evaluators(gamma, dgamma, domain, n_samples: int, d3gamma=None) -> Curve:
     """Arc-length resampled curve from array evaluators on ``domain``."""
     u0, u1 = float(domain[0]), float(domain[1])
     if not u1 > u0:
@@ -263,12 +261,12 @@ def _from_evaluators(gamma, dgamma, domain, n_samples: int,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     geom = _Geometry(gamma=gamma, dgamma=dgamma, arcmap=_ArcLengthMap(dgamma, [u0, u1]),
-                     d2gamma=d2gamma, d3gamma=d3gamma)
+                     d3gamma=d3gamma)
     return _resample(geom, n_samples, "analytic")
 
 
 def make_analytic(gamma, gamma_prime, domain, n_samples: int,
-                  second_derivative=None, third_derivative=None) -> Curve:
+                  third_derivative=None) -> Curve:
     """Arc-length resampled curve from exact scalar evaluators on ``domain``.
 
     Each evaluator maps one parameter to a point (or derivative) vector.
@@ -279,7 +277,7 @@ def make_analytic(gamma, gamma_prime, domain, n_samples: int,
         return None if f is None else np.vectorize(f, otypes=[float], signature="()->(d)")
 
     return _from_evaluators(on_arrays(gamma), on_arrays(gamma_prime), domain, n_samples,
-                            on_arrays(second_derivative), on_arrays(third_derivative))
+                            on_arrays(third_derivative))
 
 
 def resample(curve: Curve, n: int) -> Curve:
@@ -304,7 +302,7 @@ def make_segment(p0, p1, n_samples: int = 100) -> Curve:
     gamma = lambda u: p0 + np.multiply.outer(u, d)
     dgamma = lambda u: np.tile(d, np.shape(u) + (1,))
     zero = lambda u: np.zeros(np.shape(u) + d.shape)
-    return _from_evaluators(gamma, dgamma, (0.0, L), n_samples, d2gamma=zero, d3gamma=zero)
+    return _from_evaluators(gamma, dgamma, (0.0, L), n_samples, d3gamma=zero)
 
 
 def make_circle_arc(angle: float = math.pi / 2, n_samples: int = 200,
@@ -315,9 +313,8 @@ def make_circle_arc(angle: float = math.pi / 2, n_samples: int = 200,
     R = float(radius)
     gamma = lambda u: _rows(R * np.cos(u / R), R * np.sin(u / R))
     dgamma = lambda u: _rows(-np.sin(u / R), np.cos(u / R))
-    d2 = lambda u: _rows(-np.cos(u / R), -np.sin(u / R)) / R
     d3 = lambda u: _rows(np.sin(u / R), -np.cos(u / R)) / R**2
-    return _from_evaluators(gamma, dgamma, (0.0, R * angle), n_samples, d2gamma=d2, d3gamma=d3)
+    return _from_evaluators(gamma, dgamma, (0.0, R * angle), n_samples, d3gamma=d3)
 
 
 def make_log_spiral(lam: float, t_max: float, n_samples: int) -> Curve:
@@ -344,8 +341,7 @@ def make_log_spiral(lam: float, t_max: float, n_samples: int) -> Curve:
 
         return f
 
-    return _from_evaluators(deriv(0), deriv(1), (0.0, t_max), n_samples,
-                            d2gamma=deriv(2), d3gamma=deriv(3))
+    return _from_evaluators(deriv(0), deriv(1), (0.0, t_max), n_samples, d3gamma=deriv(3))
 
 
 def log_spiral_arclength(lam: float, t_max: float) -> float:

@@ -1,11 +1,13 @@
 """Gradient-flow integration, roundtrip metrics, and the converse check.
 
 ``sample_flow`` integrates x' = -grad F(x) with error control: the embedded
-Dormand-Prince 5(4) pair of ``scipy.integrate.solve_ivp`` ("RK45"), whose
-step size follows the local error, sampled at the requested times. The
-pipeline's roundtrip and the converse check use it. ``integrate``, classical
-fixed-step RK4, is kept as the fixed-step reference whose error behaves
-predictably for the order checks and the ``flow --dt`` command.
+Dormand-Prince 5(4) pair, driven step by step through scipy's ``RK45``
+stepper, whose step size follows the local error; each step's dense output
+gives the samples at the requested times that it covers and, when the state
+norm crosses its limit, the crossing time. The pipeline's roundtrip and the
+converse check use it. ``integrate``, classical fixed-step RK4 on Python
+floats, is kept as the fixed-step reference whose error behaves predictably
+for the order checks and the ``flow --dt`` command.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import RK45, cumulative_simpson
+from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
 from . import contract
@@ -24,13 +27,15 @@ from .extend import ConvexExtension, eval_grad
 from .repar import ReparamCurve
 
 GRAD_STOP = 1e-8
-# sample_flow's error control: solve_ivp relative and absolute tolerances
+# sample_flow's error control: RK45 relative and absolute tolerances
 RTOL = 1e-8
 ATOL = 1e-9
 # sample_flow gives up after this many gradient evaluations
 MAX_EVALS = 100_000
 # samples per eval_grad call when sample_flow evaluates an extension's speeds
 SPEED_ROWS = 64
+# the escape time is solved to 4 EPS, as solve_ivp solves for its event times
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,35 +72,55 @@ def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
     Terminates early at stationary points (||grad|| < 1e-8) and raises BlowUp
     when the state norm exceeds 1e6 (||x0|| + 1) or is not finite, which
     signals a non-convex or corrupted oracle.
+
+    The state and the stage gradients are Python floats, so a step makes no
+    array temporaries. The stages do, in order, the float operations of the
+    array form x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with
+    k = -g, and each speed is ``np.linalg.norm``'s sqrt(g . g) of the
+    oracle's array, so the trajectory is that of the array form bit for bit,
+    signed zeros included.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
     grad = _gradient_fn(ext_or_f)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     limit = 1e6 * (np.linalg.norm(x) + 1.0)
+    shape = x.shape
+    x = x.tolist()
 
-    times = [0.0]
-    states = [x.copy()]
-    g = np.asarray(grad(x), dtype=float)
-    speeds = [float(np.linalg.norm(g))]
+    def gradient(y):
+        # a fresh array per call, as the oracle may keep or return it; a
+        # contiguous gradient, as np.linalg.norm dots a contiguous copy
+        g = np.ascontiguousarray(grad(np.array(y)), dtype=float)
+        if g.shape != shape:
+            raise ValueError(f"the gradient oracle returned shape {g.shape} "
+                             f"for a state of shape {shape}")
+        return g
+
+    g = gradient(x)
+    times, states, speeds = [0.0], [x], [math.sqrt(g.dot(g))]
+    g = g.tolist()
     t = 0.0
     while t < t_end * (1.0 - 1e-12):
         if speeds[-1] < GRAD_STOP:
             break
         h = min(dt, t_end - t)
-        k1 = -g
-        k2 = -np.asarray(grad(x + 0.5 * h * k1), dtype=float)
-        k3 = -np.asarray(grad(x + 0.5 * h * k2), dtype=float)
-        k4 = -np.asarray(grad(x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c = 0.5 * h
+        g2 = gradient([a + c * -b for a, b in zip(x, g)]).tolist()
+        g3 = gradient([a + c * -b for a, b in zip(x, g2)]).tolist()
+        g4 = gradient([a + h * -b for a, b in zip(x, g3)]).tolist()
+        c = h / 6.0
+        x = [a + c * (((-b1 + 2.0 * -b2) + 2.0 * -b3) + -b4)
+             for a, b1, b2, b3, b4 in zip(x, g, g2, g3, g4)]
         t += h
         norm = math.hypot(*x)  # no overflow warning; an inf or NaN norm fails too
         if not norm <= limit:
             raise BlowUp(f"state norm {norm:.3g} is not within {limit:.3g} at t = {t:.6g}")
-        g = np.asarray(grad(x), dtype=float)
+        g = gradient(x)
         times.append(t)
-        states.append(x.copy())
-        speeds.append(float(np.linalg.norm(g)))
+        states.append(x)
+        speeds.append(math.sqrt(g.dot(g)))
+        g = g.tolist()
     return Trajectory(times=np.array(times), states=np.array(states),
                       speeds=np.array(speeds))
 
@@ -108,7 +133,9 @@ def sample_flow(ext_or_f, x0, times) -> Trajectory:
     state norm reaches 1e6 (||x0|| + 1), when the solver fails or makes more
     than MAX_EVALS evaluations, or when a state is not finite. The
     trajectory's ``grad_evals`` counts every gradient evaluation: the
-    solver's and one per sample.
+    solver's and one per sample. Steps, samples and the escape time are
+    bitwise those of ``solve_ivp`` with ``t_eval`` and a terminal event,
+    without its per-step event bookkeeping.
     """
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) >= 2 and np.isfinite(times).all()
@@ -128,25 +155,35 @@ def sample_flow(ext_or_f, x0, times) -> Trajectory:
                          f"reached only t = {t:.6g}")
         return -np.asarray(oracle(x), dtype=float)
 
-    def escape(t, x):
-        return limit - math.hypot(*x)
-    escape.terminal = True
-
+    samples = []
     try:
         # an overflowing trial step is rejected by the error control, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(velocity, (times[0], times[-1]), x0, method="RK45",
-                            t_eval=times, rtol=RTOL, atol=ATOL, events=escape)
+            solver = RK45(velocity, float(times[0]), x0, float(times[-1]),
+                          rtol=RTOL, atol=ATOL)
+            done = 0  # samples taken
+            while solver.status == "running":
+                message = solver.step()
+                if solver.status == "failed":
+                    raise BlowUp(f"flow integration failed: {message}")
+                # the escape gap is positive at x0 (RK45 takes finite states
+                # only), so this is solve_ivp's sign test; a NaN gap fails both,
+                # and the error control rejects every step to a NaN state
+                if limit - math.hypot(*solver.y) <= 0.0:
+                    dense = solver.dense_output()
+                    t = brentq(lambda s: limit - math.hypot(*dense(s)),
+                               solver.t_old, solver.t, xtol=4 * EPS, rtol=4 * EPS)
+                    raise BlowUp(f"state norm exceeds {limit:.3g} at t = {t:.6g}")
+                end = int(np.searchsorted(times, solver.t, side="right"))
+                if end > done:
+                    samples.append(solver.dense_output()(times[done:end]))
+                    done = end
     finally:
         # the solver and its right-hand side form a reference cycle that only
         # the cyclic garbage collector frees; unbinding the oracle keeps that
         # cycle from holding F (240 kB at N = 5000) past this call
         oracle = None
-    if sol.status == 1:
-        raise BlowUp(f"state norm exceeds {limit:.3g} at t = {sol.t_events[0][0]:.6g}")
-    if sol.status != 0:
-        raise BlowUp(f"flow integration failed: {sol.message}")
-    states = sol.y.T
+    states = np.hstack(samples).T
     if not np.isfinite(states).all():
         raise BlowUp("flow state is not finite")
     if isinstance(ext_or_f, ConvexExtension):  # eval_grad takes row blocks

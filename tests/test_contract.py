@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ class TestMetricCheck:
                       lambda: cf.classify(crv, 100)):
             with pytest.raises(ValueError, match="at least 3 samples"):
                 check()
+
+    def test_peak_memory_is_one_stratum(self):
+        # each stratum is scored before the next is drawn: 100 000 triples of a
+        # planar N = 5000 curve take under 1 MB (about 5 MB when drawn all at once)
+        crv = cf.make_circle_arc(np.pi / 2, 5000)
+        tracemalloc.start()
+        try:
+            cf.check_self_contracted_metric(crv, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def _sampled_metric_reference(curve, n_triples, seed=0, tol_factor=1e-9):
@@ -103,6 +117,21 @@ class TestMetricCheckOracle:
                 rep = cf.check_self_contracted_metric(crv, n_triples, seed=seed)
                 assert rep.worst_triple[-1] == 1.0
                 assert repr(rep) == repr(_sampled_metric_reference(crv, n_triples, seed=seed))
+
+
+def test_nan_slack_is_the_witness_as_under_argmin():
+    # chords to points near the float64 limit overflow and inf - inf is NaN:
+    # the strata are scored apart, yet the first NaN triple is still the witness
+    for seed in (0, 1, 2):
+        crv = _random_walk_curve(300, 2, seed)
+        P = crv.points.copy()
+        P[[17, 150, 290]] = [[1.5e308, -1.5e308], [-1.5e308, 1.5e308], [1.5e308, 1.5e308]]
+        crv = cf.Curve(params=crv.params, points=P, tangents=crv.tangents)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = cf.check_self_contracted_metric(crv, 2000, seed=seed)
+            ref = _sampled_metric_reference(crv, 2000, seed=seed)
+        assert np.isnan(rep.worst_triple[-1])
+        assert repr(rep) == repr(ref)
 
 
 class TestCheckStrong:

@@ -269,17 +269,15 @@ def _scalar_segment(p0, p1, n):
     d = (p1 - p0) / L
     zero = np.zeros_like(d)
     return cf.make_analytic(lambda u: p0 + u * d, lambda u: d, (0.0, L), n,
-                            second_derivative=lambda u: zero,
                             third_derivative=lambda u: zero)
 
 
 def _scalar_circle_arc(angle, n, R):
     gamma = lambda u: np.array([R * math.cos(u / R), R * math.sin(u / R)])
     dgamma = lambda u: np.array([-math.sin(u / R), math.cos(u / R)])
-    d2 = lambda u: np.array([-math.cos(u / R), -math.sin(u / R)]) / R
     d3 = lambda u: np.array([math.sin(u / R), -math.cos(u / R)]) / R**2
     return cf.make_analytic(gamma, dgamma, (0.0, R * angle), n,
-                            second_derivative=d2, third_derivative=d3)
+                            third_derivative=d3)
 
 
 def _scalar_log_spiral(lam, t_max, n):
@@ -290,7 +288,7 @@ def _scalar_log_spiral(lam, t_max, n):
         return lambda u: np.array([(c * np.exp(w * u)).real, (c * np.exp(w * u)).imag])
 
     return cf.make_analytic(deriv(0), deriv(1), (0.0, t_max), n,
-                            second_derivative=deriv(2), third_derivative=deriv(3))
+                            third_derivative=deriv(3))
 
 
 def _scalar_arc_chain(curvatures, lengths, n, start, heading):

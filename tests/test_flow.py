@@ -197,6 +197,188 @@ class TestPipelineFlow:
         assert report.stages[-1]["data"]["grad_evals"] == calls.count(1) + 400
 
 
+def _rk4_reference(ext_or_f, x0, t_end, dt):
+    """``integrate`` as first written: one NumPy array per stage and update."""
+    grad = flow._gradient_fn(ext_or_f)
+    x = np.asarray(x0, dtype=float).copy()
+    limit = 1e6 * (np.linalg.norm(x) + 1.0)
+    times = [0.0]
+    states = [x.copy()]
+    g = np.asarray(grad(x), dtype=float)
+    speeds = [float(np.linalg.norm(g))]
+    t = 0.0
+    while t < t_end * (1.0 - 1e-12):
+        if speeds[-1] < flow.GRAD_STOP:
+            break
+        h = min(dt, t_end - t)
+        k1 = -g
+        k2 = -np.asarray(grad(x + 0.5 * h * k1), dtype=float)
+        k3 = -np.asarray(grad(x + 0.5 * h * k2), dtype=float)
+        k4 = -np.asarray(grad(x + h * k3), dtype=float)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        norm = math.hypot(*x)
+        if not norm <= limit:
+            raise BlowUp(f"state norm {norm:.3g} is not within {limit:.3g} at t = {t:.6g}")
+        g = np.asarray(grad(x), dtype=float)
+        times.append(t)
+        states.append(x.copy())
+        speeds.append(float(np.linalg.norm(g)))
+    return Trajectory(times=np.array(times), states=np.array(states),
+                      speeds=np.array(speeds))
+
+
+def _solve_ivp_reference(ext_or_f, x0, times):
+    """``sample_flow`` as first written: RK45 through ``solve_ivp`` with an event."""
+    times = np.asarray(times, dtype=float)
+    grad = oracle = flow._gradient_fn(ext_or_f)
+    x0 = np.asarray(x0, dtype=float)
+    limit = 1e6 * (math.hypot(*x0) + 1.0)
+    nfev = 0
+
+    def velocity(t, x):
+        nonlocal nfev
+        nfev += 1
+        if nfev > flow.MAX_EVALS:
+            raise BlowUp(f"step size collapsed: {flow.MAX_EVALS} gradient evaluations "
+                         f"reached only t = {t:.6g}")
+        return -np.asarray(oracle(x), dtype=float)
+
+    def escape(t, x):
+        return limit - math.hypot(*x)
+    escape.terminal = True
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(velocity, (times[0], times[-1]), x0, method="RK45",
+                        t_eval=times, rtol=flow.RTOL, atol=flow.ATOL, events=escape)
+    if sol.status == 1:
+        raise BlowUp(f"state norm exceeds {limit:.3g} at t = {sol.t_events[0][0]:.6g}")
+    if sol.status != 0:
+        raise BlowUp(f"flow integration failed: {sol.message}")
+    states = sol.y.T
+    if not np.isfinite(states).all():
+        raise BlowUp("flow state is not finite")
+    if isinstance(ext_or_f, cf.ConvexExtension):
+        g = np.concatenate([grad(states[i:i + flow.SPEED_ROWS])
+                            for i in range(0, len(states), flow.SPEED_ROWS)])
+    else:
+        g = np.array([grad(x) for x in states], dtype=float)
+    speeds = np.linalg.norm(g, axis=1)
+    return Trajectory(times=times, states=states, speeds=speeds,
+                      grad_evals=nfev + len(times))
+
+
+def _outcome(run, *args):
+    """A trajectory's exact bytes, layout and evaluation count, or the error raised."""
+    try:
+        traj = run(*args)
+    except BlowUp as exc:
+        return ("BlowUp", str(exc))
+    return tuple((a.shape, a.strides, a.tobytes()) for a in
+                 (traj.times, traj.states, traj.speeds)) + (traj.grad_evals,)
+
+
+def _oracle(kind, d):
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((d, d))
+    A = m @ m.T / d + 0.1 * np.eye(d)
+    x0 = rng.standard_normal(d)
+    if kind == "linear":
+        return (lambda x: A @ x), x0
+    if kind == "identity":
+        return (lambda x: x), x0  # returns its own input array
+    return (lambda x: np.tanh(A @ x)), x0
+
+
+@pytest.fixture(scope="module")
+def arc_extension():
+    crv = cf.make_circle_arc(np.pi / 2, 200)
+    plan = cf.exponential_plan_with_rate(crv, 1.0)
+    ext = cf.build_extension(cf.curve_jet(crv, plan))
+    return ext, cf.reparameterize(crv, plan, 400, plan.T)
+
+
+class TestIntegrateMatchesArrayForm:
+    """The list-based RK4 loop reproduces the array loop bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("kind", ["linear", "identity", "tanh"])
+    def test_random_flows(self, kind, d):
+        grad, x0 = _oracle(kind, d)
+        # t_end is not a multiple of dt: the last step is shorter
+        for t_end, dt in ((1.0, 1e-2), (2.3, 0.07), (0.5, 0.3)):
+            assert (_outcome(cf.integrate, grad, x0, t_end, dt)
+                    == _outcome(_rk4_reference, grad, x0, t_end, dt))
+
+    def test_extension_flow(self, arc_extension):
+        ext, rc = arc_extension
+        t_end = 0.37 * rc.times[-1]
+        assert (_outcome(cf.integrate, ext, rc.points[0], t_end, t_end / 333.3)
+                == _outcome(_rk4_reference, ext, rc.points[0], t_end, t_end / 333.3))
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [1e-7, -0.0], [1.0, -0.0]])
+    def test_stationary_stop_and_signed_zeros(self, x0):
+        for t_end in (1.0, 40.0):
+            out = _outcome(cf.integrate, isotropic_grad, np.array(x0), t_end, 1e-2)
+            assert out == _outcome(_rk4_reference, isotropic_grad, np.array(x0), t_end, 1e-2)
+
+    @pytest.mark.parametrize("grad,match", [(lambda x: -x, "^state norm 2e\\+06 is not"),
+                                            (nan_off_start, "^state norm nan is not")])
+    def test_blow_up_messages(self, grad, match):
+        out = _outcome(cf.integrate, grad, np.array([1.0, 0.0]), 40.0, 1e-2)
+        assert out == _outcome(_rk4_reference, grad, np.array([1.0, 0.0]), 40.0, 1e-2)
+        with pytest.raises(BlowUp, match=match):
+            cf.integrate(grad, np.array([1.0, 0.0]), 40.0, 1e-2)
+
+    def test_oracle_of_the_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="shape \\(3,\\) for a state of shape \\(2,\\)"):
+            cf.integrate(lambda x: np.ones(3), np.array([1.0, 0.0]), 1.0, 1e-2)
+
+
+class TestSampleFlowMatchesSolveIvp:
+    """The RK45 stepper loop reproduces ``solve_ivp`` bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("kind", ["linear", "identity", "tanh"])
+    def test_random_flows(self, kind, d):
+        grad, x0 = _oracle(kind, d)
+        for times in (np.linspace(0.0, 2.0, 21), np.linspace(0.5, 3.7, 400), [0.0, 1e-3]):
+            assert (_outcome(cf.sample_flow, grad, x0, times)
+                    == _outcome(_solve_ivp_reference, grad, x0, times))
+
+    def test_extension_flow(self, arc_extension):
+        ext, rc = arc_extension
+        assert (_outcome(cf.sample_flow, ext, rc.points[0], rc.times)
+                == _outcome(_solve_ivp_reference, ext, rc.points[0], rc.times))
+
+    def test_escape_time(self):
+        # the flow of roundtrip --gen circle --angle 2.5 meets the norm limit
+        report = cli.run_pipeline(cli.PipelineConfig(generator="circle", angle=2.5),
+                                  stop_after="extend")
+        res = report.results
+        rc = cf.reparameterize(res["curve"], res["plan"], 400, res["horizon"])
+        out = _outcome(cf.sample_flow, res["extension"], rc.points[0], rc.times)
+        assert out[0] == "BlowUp" and out[1].startswith("state norm exceeds")
+        assert out == _outcome(_solve_ivp_reference, res["extension"], rc.points[0], rc.times)
+
+    @pytest.mark.parametrize("grad,times", [
+        (lambda x: -x, [0.0, 40.0]),
+        (lambda x: np.array([-1e300 * x[0], 0.0]), [0.0, 1.0]),
+        (nan_off_start, [1e6, 1e6 + 1.0]),  # the solver fails
+    ])
+    def test_failures(self, grad, times):
+        out = _outcome(cf.sample_flow, grad, np.array([1.0, 0.0]), times)
+        assert out[0] == "BlowUp"
+        assert out == _outcome(_solve_ivp_reference, grad, np.array([1.0, 0.0]), times)
+
+    def test_step_size_collapse(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_EVALS", 2000)
+        out = _outcome(cf.sample_flow, nan_off_start, np.array([1.0, 0.0]), [0.0, 1.0])
+        assert out[0] == "BlowUp" and "step size collapsed" in out[1]
+        assert out == _outcome(_solve_ivp_reference, nan_off_start, np.array([1.0, 0.0]),
+                               [0.0, 1.0])
+
+
 class TestRoundtripError:
     def test_identical_inputs(self, segment):
         plan = cf.exponential_plan_with_rate(segment, 1.0)
