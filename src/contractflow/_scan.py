@@ -2,80 +2,121 @@
 
 Every pair reduction (the strong-contraction product, the Hoelder seminorm,
 the Taylor bounds, the (M)-inequality, the zeta hypothesis and the (C)/(CW1)
-slacks) visits rows in blocks of at most BLOCK rows, so a scan holds
-O(BLOCK x N) memory, never an N x N array. The reductions over pairs j > i
+slacks) visits rows in blocks: BLOCK = 32 rows in a scan large enough to run
+in parallel, SMALL_BLOCK = 64 rows below that size, where the fixed cost of
+each numpy call matters more than cache reuse. A scan thus holds O(64 x N)
+memory per worker, never an N x N array. The reductions over pairs j > i
 alone read only the upper triangle: a block of rows i0:i1 has the columns
 j >= i0, about half the pairs of a full row block. The (C)/(CW1) slacks are
 not symmetric and read every column.
 
-Each thread of a scan keeps its working arrays in ``scratch`` buffers, which
-it allocates at its first block and reuses for every later one; the kernels
-write into them with ``out=`` and in-place ufuncs, so no block allocates an
-array of its own size. Blocks may run on a thread pool capped by
-CONTRACTFLOW_THREADS (numpy releases the GIL inside the block products);
-results are combined in block index order, so the reported minimum and
-witness are identical no matter how many threads run.
+A scan of at least PARALLEL_PAIRS pairs runs its blocks on ``thread_count()``
+worker threads, by default one per CPU the process may use (numpy releases
+the GIL inside the block kernels). Smaller scans run serially: their short
+numpy calls leave the workers contending for the GIL, and on 2 CPUs two
+threads lost to one up to about 2000 rows. Results are combined in block
+index order, so the reported minimum and witness are identical no matter how
+many threads run. The block products go through ``block_product``, CHUNK
+columns at a time, which the BLAS runs on the calling thread instead of
+splitting each one across helper threads that spin against the scan's.
+
+Each worker carves its working arrays with ``scratch`` out of one slab that
+the caller of the scan allocates before the workers start (buffers that the
+workers allocated themselves would stay in per-thread malloc arenas); the
+kernels write into them with ``out=`` and in-place ufuncs, so no block
+allocates an array of its own size.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from threading import Lock, Thread, local
 
 import numpy as np
 
-BLOCK = 64  # rows per block
-LOWER = np.tril(np.ones((BLOCK, BLOCK), dtype=bool))  # pairs j <= i of a block's corner
-_local = threading.local()
+BLOCK = 32  # rows per block
+SMALL_BLOCK = 64  # rows per block of a scan below PARALLEL_PAIRS
+CHUNK = 2048  # columns per BLAS call of a block product
+PARALLEL_PAIRS = 2**21  # scans of fewer pairs run serially
+SLAB_LAYERS = 4  # block-sized float64 arrays (rows x (n_rows + 1)) one block may hold at once
+LOWER = np.tril(np.ones((SMALL_BLOCK, SMALL_BLOCK), dtype=bool))  # pairs j <= i of a block's corner
+_local = local()
 
 
 def thread_count() -> int:
-    raw = os.environ.get("CONTRACTFLOW_THREADS", "")
+    """Workers of a large scan: CONTRACTFLOW_THREADS when set, else the usable CPUs."""
     try:
-        return max(1, int(raw))
+        return max(1, int(os.environ.get("CONTRACTFLOW_THREADS", "")))
     except ValueError:
-        return 1
+        pass
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
-def scratch(name: str, shape, dtype=float) -> np.ndarray:
-    """An uninitialized ``shape`` array, reused by this thread for the rest of its scan.
+def scratch(shape, dtype=float) -> np.ndarray:
+    """An uninitialized ``shape`` array, valid until this thread's next block.
 
-    Inside ``map_blocks`` the buffer called ``name`` is allocated at the first
-    request and handed out again to every later block the same thread runs,
-    so its contents last only until that thread's next block. Outside a scan
-    it is a fresh array.
+    Inside ``map_blocks`` it is carved from the worker's slab, which each
+    block carves again from its start; a request the slab has no room left
+    for, and any request outside a scan, gets a fresh array.
     """
-    pool = getattr(_local, "pool", None)
-    if pool is None:
+    dtype = np.dtype(dtype)
+    slab = getattr(_local, "slab", None)  # uint8
+    nbytes = math.prod(shape) * dtype.itemsize
+    if slab is None or _local.used + nbytes > slab.size:
         return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = pool.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = pool[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
-def _open_pool() -> None:
-    _local.pool = {}
+    start = _local.used
+    _local.used += -(-nbytes // 64) * 64  # keep every array 64-byte aligned in the slab
+    return slab[start:start + nbytes].view(dtype).reshape(shape)
 
 
 def map_blocks(fn, n_rows: int) -> list:
-    """``fn(i0, i1)`` on every block of at most BLOCK rows, results in block order.
+    """``fn(i0, i1)`` on every block of rows, results in block order.
 
-    Each thread gets its own scratch buffers, released when the scan returns.
+    A scan of PARALLEL_PAIRS pairs or more (n_rows^2 / 2, an upper triangle)
+    runs blocks of BLOCK rows on ``thread_count()`` workers, at most one per
+    block; the calling thread is one of them, and each takes the next block
+    not yet taken. A smaller scan runs blocks of SMALL_BLOCK rows serially.
+    Each worker gets a slab of SLAB_LAYERS x rows x (n_rows + 1) float64
+    values, allocated here and released when the scan returns. An exception
+    in any block is raised here.
     """
-    spans = [(i0, min(i0 + BLOCK, n_rows)) for i0 in range(0, n_rows, BLOCK)]
-    workers = thread_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers, initializer=_open_pool) as pool:
-            return list(pool.map(lambda span: fn(*span), spans))
-    _open_pool()
-    try:
-        return [fn(i0, i1) for i0, i1 in spans]
-    finally:
-        del _local.pool
+    large = n_rows * n_rows >= 2 * PARALLEL_PAIRS
+    rows = BLOCK if large else SMALL_BLOCK
+    spans = [(i0, min(i0 + rows, n_rows)) for i0 in range(0, n_rows, rows)]
+    workers = min(thread_count(), len(spans)) if large else 1
+    slab_bytes = SLAB_LAYERS * rows * (n_rows + 1) * 8 + SLAB_LAYERS * 64
+    slabs = [np.empty(slab_bytes, np.uint8) for _ in range(workers)]
+    results = [None] * len(spans)
+    todo, lock, failures = iter(range(len(spans))), Lock(), []
+
+    def work(slab):
+        _local.slab = slab
+        try:
+            while not failures:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    break
+                _local.used = 0
+                results[k] = fn(*spans[k])
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append(exc)
+        finally:
+            del _local.slab
+
+    helpers = [Thread(target=work, args=(slab,)) for slab in slabs[1:]]
+    for helper in helpers:
+        helper.start()
+    work(slabs[0])
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def block_argmin(vals: np.ndarray, i0: int, j0: int = 0) -> tuple:
@@ -116,6 +157,17 @@ def mask_lower(vals: np.ndarray, fill: float = np.inf) -> np.ndarray:
     return vals
 
 
+def block_product(rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows @ cols.T`` into ``out``, at most CHUNK columns per BLAS call.
+
+    A product of BLOCK x d x CHUNK is below the size at which the BLAS
+    splits it across threads, so each call runs on the calling thread.
+    """
+    for c in range(0, len(cols), CHUNK):
+        np.matmul(rows, cols[c:c + CHUNK].T, out=out[:, c:c + CHUNK])
+    return out
+
+
 def pair_gaps(t: np.ndarray, i0: int, i1: int, jmax: int | None = None) -> np.ndarray:
     """``t_j - t_i`` for rows i0:i1 against columns i0:jmax, in a scratch buffer.
 
@@ -123,20 +175,15 @@ def pair_gaps(t: np.ndarray, i0: int, i1: int, jmax: int | None = None) -> np.nd
     takes a power of a nonpositive gap there; every caller masks them.
     """
     cols = t[i0:jmax]
-    gaps = scratch("gaps", (i1 - i0, len(cols)))
+    gaps = scratch((i1 - i0, len(cols)))
     np.subtract(cols[None, :], t[i0:i1, None], out=gaps)
     return mask_lower(gaps, 1.0)
 
 
-def tangent_chord(curve, i0: int, i1: int, jmax: int | None = None):
-    """``<T_i, P_j - P_i>`` and ``pair_gaps`` for rows i0:i1 against columns i0:jmax.
-
-    Both live in scratch buffers of the calling thread.
-    """
-    t, P, T = curve.params, curve.points, curve.tangents
-    rows = T[i0:i1]
-    cols = P[i0:jmax]
-    ip = scratch("ip", (i1 - i0, len(cols)))
-    np.matmul(rows, cols.T, out=ip)
+def tangent_chord(curve, i0: int, i1: int, jmax: int | None = None) -> np.ndarray:
+    """``<T_i, P_j - P_i>`` for rows i0:i1 against columns i0:jmax, in a scratch buffer."""
+    P, T = curve.points, curve.tangents
+    rows, cols = T[i0:i1], P[i0:jmax]
+    ip = block_product(rows, cols, scratch((i1 - i0, len(cols))))
     ip -= np.einsum("id,id->i", rows, P[i0:i1])[:, None]
-    return ip, pair_gaps(t, i0, i1, jmax)
+    return ip

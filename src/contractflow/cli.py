@@ -221,10 +221,12 @@ def _flow_stage(cfg, report, data) -> bool:
     res = report.results
     ext, horizon = res["extension"], res["horizon"]
     rep_curve = repar.reparameterize(res["curve"], res["plan"], cfg.n_out, horizon)
-    traj = flow_mod.sample_flow(ext, rep_curve.points[0], rep_curve.times)
+    traj = flow_mod.sample_states(ext, rep_curve.points[0], rep_curve.times)
+    speed, speed_evals = flow_mod.final_speed(ext, traj.states)
     metrics = res["roundtrip"] = flow_mod.roundtrip_error(traj, rep_curve)
-    data.update(horizon=horizon, eps=ext.smoothing_eps, grad_evals=traj.grad_evals,
-                final_speed=float(traj.speeds[-1]), **metrics.to_json_dict())
+    data.update(horizon=horizon, eps=ext.smoothing_eps,
+                grad_evals=traj.grad_evals + speed_evals, final_speed=speed,
+                **metrics.to_json_dict())
     return metrics.sup_distance <= cfg.roundtrip_tol
 
 

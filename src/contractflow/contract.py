@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._scan import mask_lower, pairwise_min, scratch, tangent_chord
+from ._scan import mask_lower, pair_gaps, pairwise_min, scratch, tangent_chord
 from .curve import Curve, RegularityEstimate
 from .errors import BoundViolated, NotStronglyContracted
 
@@ -72,8 +72,8 @@ def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
     t = curve.params
 
     def block(i0, i1):
-        ip, gaps = tangent_chord(curve, i0, i1)
-        return mask_lower(np.divide(ip, gaps, out=ip))
+        ip = tangent_chord(curve, i0, i1)
+        return mask_lower(np.divide(ip, pair_gaps(t, i0, i1), out=ip))
 
     qmin, i, j = pairwise_min(block, len(t))
     worst = (float(t[i]), float(t[j]), qmin)
@@ -217,8 +217,8 @@ def _taylor_scan(curve: Curve, bounds: list) -> list:
     t, P, T = curve.params, curve.points, curve.tangents
 
     def block(i0, i1):
-        ip, gaps = tangent_chord(curve, i0, i1)
-        out = scratch("taylor", (len(bounds),) + ip.shape)
+        ip, gaps = tangent_chord(curve, i0, i1), pair_gaps(t, i0, i1)
+        out = scratch((len(bounds),) + ip.shape)
         for slack, (constant, power) in zip(out, bounds):
             # ip - (gap - constant * gap**power)
             np.power(gaps, power, out=slack)

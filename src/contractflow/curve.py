@@ -419,7 +419,7 @@ def holder_seminorm(curve: Curve, alpha: float,
     def block_max(i0, i1):
         # rows i0:i1 against the columns j >= i0, one coordinate at a time
         gaps = pair_gaps(t, i0, i1)
-        dist, diff = scratch("dist", gaps.shape), scratch("diff", gaps.shape)
+        dist, diff = scratch(gaps.shape), scratch(gaps.shape)
         for k in range(T.shape[1]):
             np.subtract(T[None, i0:, k], T[i0:i1, None, k], out=diff)
             if k == 0:

@@ -49,6 +49,11 @@ class DivergentA(ContractFlowError):
     """The integral of zeta over [0, L) does not converge."""
 
 
+class QuadratureBudgetExceeded(ContractFlowError):
+    """Adaptive quadrature used its budget of integrand evaluations before
+    reaching its tolerance (the integrand is too noisy for it)."""
+
+
 class HorizonExceedsT(ContractFlowError):
     """Requested reparameterization horizon exceeds the total flow time."""
 

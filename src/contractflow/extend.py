@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scan import LOWER, block_argmin, map_blocks, scratch
+from ._scan import LOWER, block_argmin, block_product, map_blocks, scratch
 from .curve import Curve
 from .errors import ConditionCFailed
 from .repar import ReparamPlan
@@ -91,8 +91,8 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
 
         def block(i0, i1):
             shape = (i1 - i0, len(f))
-            cross, slack = scratch("cross", shape), scratch("slack", shape)
-            np.matmul(x[i0:i1], g.T, out=cross)
+            cross = block_product(x[i0:i1], g, scratch(shape))
+            slack = scratch(shape)
             cross -= own[None, :]
             np.subtract(f[i0:i1, None], f[None, :], out=slack)
             slack -= cross
@@ -107,7 +107,7 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
             n_hits, widest = 0, (np.inf, i0, 0)
             if not least[0] > band:  # else no |slack| is within the band
                 hits = np.less_equal(np.abs(slack, out=cross), band,
-                                     out=scratch("hits", shape, bool))
+                                     out=scratch(shape, bool))
                 n_hits = int(np.count_nonzero(hits))
                 if n_hits:
                     r, c = np.divmod(np.flatnonzero(hits), len(f))

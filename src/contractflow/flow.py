@@ -13,7 +13,7 @@ for the order checks and the ``flow --dt`` command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import RK45, cumulative_simpson
@@ -42,13 +42,14 @@ EPS = np.finfo(float).eps
 class Trajectory:
     """Gradient-flow samples: times, states, and speeds ||x'|| = ||grad F||.
 
-    ``grad_evals`` is the number of gradient evaluations ``sample_flow``
-    made for them (None when not counted).
+    ``speeds`` is None when they were not evaluated (``sample_states``).
+    ``grad_evals`` is the number of gradient evaluations ``sample_flow`` or
+    ``sample_states`` made for them (None when not counted).
     """
 
     times: np.ndarray
     states: np.ndarray
-    speeds: np.ndarray
+    speeds: np.ndarray | None
     grad_evals: int | None = None
 
     @property
@@ -128,21 +129,54 @@ def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
 def sample_flow(ext_or_f, x0, times) -> Trajectory:
     """Sample x' = -grad F(x), x(times[0]) = x0, at ``times`` (increasing, finite).
 
-    Dormand-Prince 5(4) with error control (rtol RTOL, atol ATOL); the
-    speeds ||grad F|| are evaluated once per sample. Raises BlowUp when the
-    state norm reaches 1e6 (||x0|| + 1), when the solver fails or makes more
-    than MAX_EVALS evaluations, or when a state is not finite. The
-    trajectory's ``grad_evals`` counts every gradient evaluation: the
-    solver's and one per sample. Steps, samples and the escape time are
-    bitwise those of ``solve_ivp`` with ``t_eval`` and a terminal event,
-    without its per-step event bookkeeping.
+    The states of ``sample_states``, with the speeds ||grad F|| evaluated
+    once per sample; ``grad_evals`` counts the solver's evaluations and one
+    per sample.
+    """
+    traj = sample_states(ext_or_f, x0, times)
+    speeds = _speeds(ext_or_f, traj.states)
+    return replace(traj, speeds=speeds, grad_evals=traj.grad_evals + len(speeds))
+
+
+def _speeds(ext_or_f, states) -> np.ndarray:
+    grad = _gradient_fn(ext_or_f)
+    if isinstance(ext_or_f, ConvexExtension):  # eval_grad takes row blocks
+        g = np.concatenate([grad(states[i:i + SPEED_ROWS])
+                            for i in range(0, len(states), SPEED_ROWS)])
+    else:
+        g = np.array([grad(x) for x in states], dtype=float)
+    return np.linalg.norm(g, axis=1)
+
+
+def final_speed(ext_or_f, states) -> tuple:
+    """``(||grad F||, evaluations)`` at the last of ``states``.
+
+    Bitwise the last speed of ``sample_flow``: an extension's gradient is
+    evaluated on the same last block of SPEED_ROWS rows, since one row alone
+    may round differently, and every row of that block counts.
+    """
+    tail = states[-1:]
+    if isinstance(ext_or_f, ConvexExtension):
+        tail = states[(len(states) - 1) // SPEED_ROWS * SPEED_ROWS:]
+    return float(_speeds(ext_or_f, tail)[-1]), len(tail)
+
+
+def sample_states(ext_or_f, x0, times) -> Trajectory:
+    """Sample x' = -grad F(x), x(times[0]) = x0, at ``times``; no speeds.
+
+    Dormand-Prince 5(4) with error control (rtol RTOL, atol ATOL). Raises
+    BlowUp when the state norm reaches 1e6 (||x0|| + 1), when the solver
+    fails or makes more than MAX_EVALS evaluations, or when a state is not
+    finite. ``grad_evals`` counts the solver's gradient evaluations. Steps,
+    samples and the escape time are bitwise those of ``solve_ivp`` with
+    ``t_eval`` and a terminal event, without its per-step event bookkeeping.
     """
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) >= 2 and np.isfinite(times).all()
             and (np.diff(times) > 0.0).all()):
         raise ValueError("a flow is sampled at 2 or more finite, strictly "
                          "increasing times")
-    grad = oracle = _gradient_fn(ext_or_f)
+    oracle = _gradient_fn(ext_or_f)
     x0 = np.asarray(x0, dtype=float)
     limit = 1e6 * (math.hypot(*x0) + 1.0)
     nfev = 0
@@ -186,14 +220,7 @@ def sample_flow(ext_or_f, x0, times) -> Trajectory:
     states = np.hstack(samples).T
     if not np.isfinite(states).all():
         raise BlowUp("flow state is not finite")
-    if isinstance(ext_or_f, ConvexExtension):  # eval_grad takes row blocks
-        g = np.concatenate([grad(states[i:i + SPEED_ROWS])
-                            for i in range(0, len(states), SPEED_ROWS)])
-    else:
-        g = np.array([grad(x) for x in states], dtype=float)
-    speeds = np.linalg.norm(g, axis=1)
-    return Trajectory(times=times, states=states, speeds=speeds,
-                      grad_evals=nfev + len(times))
+    return Trajectory(times=times, states=states, speeds=None, grad_evals=nfev)
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,39 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .errors import QuadratureBudgetExceeded
+
+# integrand evaluations one adaptive_simpson call may make (the most any
+# built-in plan or test needs is under 7000)
+MAX_EVALS = 100_000
+
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Integrate a scalar function over [a, b] to absolute tolerance ``tol``."""
+    """Integrate a scalar function over [a, b] to absolute tolerance ``tol``.
+
+    Raises QuadratureBudgetExceeded once MAX_EVALS evaluations of ``f`` have
+    not reached ``tol``, as when the integrand's rounding noise exceeds it:
+    the splitting would otherwise go on toward 2^max_depth cells.
+    """
     if a == b:
         return 0.0
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    budget = [MAX_EVALS - 3]
+    try:
+        return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth, budget)
+    except QuadratureBudgetExceeded:
+        raise QuadratureBudgetExceeded(
+            f"adaptive Simpson on [{a:.6g}, {b:.6g}] did not reach tol {tol:.3g} "
+            f"in {MAX_EVALS} integrand evaluations") from None
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
+def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth, budget):
+    budget[0] -= 2
+    if budget[0] < 0:
+        raise QuadratureBudgetExceeded
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
@@ -38,8 +58,8 @@ def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
     elif depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
     half = 0.5 * tol
-    return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
-        f, m, b, fm, frm, fb, right, half, depth - 1
+    return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1, budget) + _simpson_step(
+        f, m, b, fm, frm, fb, right, half, depth - 1, budget
     )
 
 

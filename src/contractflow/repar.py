@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from ._scan import mask_lower, pairwise_min, scratch, tangent_chord
+from ._scan import mask_lower, pair_gaps, pairwise_min, scratch, tangent_chord
 from .curve import Curve, RegularityEstimate
 from .errors import (
     DivergentA,
@@ -234,8 +234,8 @@ def _check_zeta_hypothesis(curve: Curve, zeta) -> None:
 
     def block(i0, i1):
         # ip / gap - (1 - zeta(s) gap^2)
-        ip, gaps = tangent_chord(curve, i0, i1)
-        bound = scratch("bound", ip.shape)
+        ip, gaps = tangent_chord(curve, i0, i1), pair_gaps(t, i0, i1)
+        bound = scratch(ip.shape)
         np.multiply(gaps, gaps, out=bound)
         bound *= zvals[None, i0:]
         np.subtract(1.0, bound, out=bound)
@@ -388,9 +388,9 @@ def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:
     jmax = n if plan.kind == "exponential" else n - 1
 
     def block(i0, i1):
-        ip, _ = tangent_chord(curve, i0, i1, jmax)
+        ip = tangent_chord(curve, i0, i1, jmax)
         with np.errstate(over="ignore"):  # only the masked pairs s <= t overflow
-            ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=scratch("lhs", ip.shape))
+            ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=scratch(ip.shape))
         return mask_lower(ip)
 
     margin, i, j = pairwise_min(block, max(jmax - 1, 1))

@@ -1,8 +1,12 @@
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 
+from contractflow import numint
+from contractflow.errors import QuadratureBudgetExceeded
 from contractflow.numint import (
     CumulativeTable,
     adaptive_simpson,
@@ -36,6 +40,23 @@ def test_simpson_survives_infinite_plateau():
     f = lambda x: math.inf if x > 0.5 else 1.0
     val = adaptive_simpson(f, 0.0, 1.0, tol=1e-8)
     assert math.isinf(val)
+
+
+def test_simpson_stops_on_noise_below_tol():
+    # rounding-size noise never falls below tol = 1e-15, so every cell would
+    # split again, toward 2^48 cells; the evaluation budget ends the call
+    rng = random.Random(0)
+    calls = []
+
+    def noisy(x):
+        calls.append(x)
+        return 1.0 + 1e-12 * rng.random()
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureBudgetExceeded, match="did not reach tol"):
+        adaptive_simpson(noisy, 0.0, 1.0, tol=1e-15)
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) <= numint.MAX_EVALS
 
 
 def test_invert_monotone_newton():

@@ -4,24 +4,28 @@ The references below build the full pair matrices the way a direct
 implementation would (triu indices, an identity mask, argwhere) and exist
 only in this test. Hypothesis draws arc chains; planted jets carry exact
 ties: duplicate anchors, equal slacks in different row blocks, and sizes
-that are not multiples of the 64-row block. Integer-valued jets make every
+that are not multiples of the 32-row block. Integer-valued jets make every
 slack exact in float64, so the engine must reproduce the reference's values
 and its first-witness tie rule bit for bit. Every comparison runs with
-CONTRACTFLOW_THREADS at 1 and at 3. At N = 4999 the references go one row at
-a time instead, so that no test holds an N x N array.
+CONTRACTFLOW_THREADS at 1 and at 3, with the parallel floor at 0, so that
+scans of any size run in 32-row blocks and, at 3, on worker threads. At
+N = 4999 the references go one row at a time instead, so that no test holds
+an N x N array.
 """
 
 import os
 import sys
+import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from threading import Thread
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import contractflow as cf
-from contractflow import contract, flow, repar
+from contractflow import _scan, contract, curve, extend, flow, repar
 from contractflow.extend import JetData
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -35,11 +39,14 @@ arc_chains = st.tuples(
 
 @contextmanager
 def threads(k):
-    old = os.environ.get("CONTRACTFLOW_THREADS")
+    """CONTRACTFLOW_THREADS = k, with no parallel floor."""
+    old, floor = os.environ.get("CONTRACTFLOW_THREADS"), _scan.PARALLEL_PAIRS
     os.environ["CONTRACTFLOW_THREADS"] = str(k)
+    _scan.PARALLEL_PAIRS = 0
     try:
         yield
     finally:
+        _scan.PARALLEL_PAIRS = floor
         if old is None:
             del os.environ["CONTRACTFLOW_THREADS"]
         else:
@@ -141,7 +148,7 @@ def test_condition_C_matches_dense_on_arc_chains(params, b):
     jet = cf.curve_jet(crv, cf.exponential_plan_with_rate(crv, b))
     ref = dense_slack(jet)
     min_slack, step1, step2, _ = dense_C(jet)
-    # the N x N product and a 64-row product may round the cross term <x_i, G_j>
+    # the N x N product and a block product may round the cross term <x_i, G_j>
     # differently in the last bit; everything else is exact
     tol = 1e-14 * max(1.0, float(np.abs(jet.anchors).max() * np.abs(jet.gradients).max()))
     for k in (1, 3):
@@ -160,6 +167,8 @@ def test_condition_C_matches_dense_on_arc_chains(params, b):
 @settings(max_examples=40, deadline=None)
 def test_integer_jets_match_dense_exactly(seed, n, tol):
     jet = integer_jet(np.random.default_rng(seed), n)
+    assert_C_exact(jet)  # the default: serial, in blocks of SMALL_BLOCK rows
+    assert_CW1_exact(jet, tol)
     for k in (1, 3):
         with threads(k):
             assert_C_exact(jet)
@@ -203,7 +212,7 @@ def row_M(curve, plan, i):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_large_scans_match_row_references(monkeypatch, k):
-    # N = 4999: 79 row blocks, the last of 7 rows; the references hold O(N)
+    # N = 4999: 157 row blocks, the last of 7 rows; the references hold O(N)
     # memory, never an N x N array
     arc = cf.make_circle_arc(1.4, 4999)
     plans = [cf.exponential_plan_with_rate(arc, 3.0),
@@ -232,18 +241,19 @@ def test_large_scans_match_row_references(monkeypatch, k):
 # ---------------------------------------------------------------------------
 # planted ties
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [None, 1, 3])
 @pytest.mark.parametrize("n", [65, 130, 200])
 def test_equal_slacks_across_blocks(k, n):
-    # a 64-periodic jet repeats every slack value in every row block, so the
-    # minimum and the widest equality gap tie across blocks
+    # a block-periodic jet repeats every slack value in every row block, so
+    # the minimum and the widest equality gap tie across blocks; k = None
+    # keeps the default, serial blocks of SMALL_BLOCK = 2 BLOCK rows
     rng = np.random.default_rng(n)
-    base = integer_jet(rng, 64)
-    reps = -(-n // 64)
+    base = integer_jet(rng, _scan.BLOCK)
+    reps = -(-n // _scan.BLOCK)
     jet = JetData(anchors=np.tile(base.anchors, (reps, 1))[:n],
                   values=np.tile(base.values, reps)[:n],
                   gradients=np.tile(base.gradients, (reps, 1))[:n])
-    with threads(k):
+    with threads(k) if k else nullcontext():
         assert_C_exact(jet)
         assert_CW1_exact(jet, 1e-9)
         rep = cf.check_CW1(jet)
@@ -270,6 +280,123 @@ def test_threads_never_share_scratch():
                 assert results() == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# the parallel engine
+
+def all_checks(arc):
+    plan = cf.exponential_plan_with_rate(arc, 3.0)
+    endpoint = cf.endpoint_plan(arc, cf.estimate_c0(arc), 1.0 / 6.0)
+    reg = cf.holder_seminorm(arc, 0.75).with_third_deriv(1.0)
+    return (cf.holder_seminorm(arc, 0.75), cf.check_strong(arc),
+            cf.verify_M(arc, plan), cf.verify_M(arc, endpoint),
+            cf.check_taylor_bound(arc, reg, tol_factor=np.inf),
+            cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan), 1e-3))
+
+
+@pytest.mark.parametrize("n", [4129, 4999])
+def test_default_threads_match_one_thread(monkeypatch, n):
+    # 4129 = 2 x 2048 + 33: the last row block and the last product chunk of
+    # a row are both short
+    arc = cf.make_circle_arc(1.4, n)
+    monkeypatch.delenv("CONTRACTFLOW_THREADS", raising=False)
+    default = all_checks(arc)
+    monkeypatch.setenv("CONTRACTFLOW_THREADS", "1")
+    assert all_checks(arc) == default
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity masks")
+def test_default_thread_count_is_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("CONTRACTFLOW_THREADS", raising=False)
+    assert _scan.thread_count() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("CONTRACTFLOW_THREADS", "3")
+    assert _scan.thread_count() == 3
+
+
+def _helper_threads(monkeypatch):
+    """Counts the helper threads that scans start; the calling thread also works."""
+    started = []
+
+    class Recorded(Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(_scan, "Thread", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("n_rows", [1, _scan.BLOCK, 2 * _scan.BLOCK + 1, 1000])
+def test_at_most_one_worker_per_block(monkeypatch, n_rows):
+    started = _helper_threads(monkeypatch)
+    n_blocks = -(-n_rows // _scan.BLOCK)
+    with threads(8):
+        spans = _scan.map_blocks(lambda i0, i1: (i0, i1), n_rows)
+    assert spans == [(i0, min(i0 + _scan.BLOCK, n_rows)) for i0 in range(0, n_rows, _scan.BLOCK)]
+    assert len(started) + 1 == min(8, n_blocks)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_small_scans_stay_serial(monkeypatch):
+    # 2048 rows make 2^21 pairs j > i, the parallel floor
+    started = _helper_threads(monkeypatch)
+    monkeypatch.setenv("CONTRACTFLOW_THREADS", "3")
+    cf.classify(cf.make_circle_arc(1.4, 2047), 2000)
+    assert started == []
+    cf.check_strong(cf.make_circle_arc(1.4, 2048))
+    assert len(started) == 2
+
+
+def test_a_failing_block_fails_the_scan():
+    def block(i0, i1):
+        if i0 == 5 * _scan.BLOCK:
+            raise ValueError("block 5")
+        return i0
+
+    for k in (1, 3):
+        with threads(k), pytest.raises(ValueError, match="block 5"):
+            _scan.map_blocks(block, 1000)
+
+
+def test_kernels_fit_in_their_slab(monkeypatch):
+    # every scratch array of every kernel is carved from the slab that the
+    # scan's caller allocated; none is allocated by a worker thread
+    original = _scan.scratch
+
+    def carved(shape, dtype=float):
+        used = _scan._local.used
+        out = original(shape, dtype)
+        assert _scan._local.used > used, f"a scratch array of shape {shape} is not in the slab"
+        return out
+
+    for module in (_scan, contract, curve, repar, extend):
+        monkeypatch.setattr(module, "scratch", carved)
+    arc = cf.make_circle_arc(1.4, 300)
+    all_checks(arc)  # serial, in blocks of SMALL_BLOCK rows
+    with threads(3):
+        all_checks(arc)
+        repar._check_zeta_hypothesis(arc, lambda t: np.full_like(t, 10.0))
+
+
+def test_block_products_stay_on_the_calling_thread():
+    # one 32 x 2 x 50000 product is well above the size at which a threaded
+    # BLAS splits it, and its helper threads would spend about one
+    # CPU-second per wall-second each, spinning or working
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(0)
+    rows, cols = rng.random((_scan.BLOCK, 2)), rng.random((50_000, 2))
+    out = np.empty((len(rows), len(cols)))
+
+    def cpu():
+        use = resource.getrusage(resource.RUSAGE_SELF)
+        return use.ru_utime + use.ru_stime
+
+    cpu0, wall0 = cpu(), time.perf_counter()
+    while time.perf_counter() - wall0 < 0.3:
+        _scan.block_product(rows, cols, out)
+    assert (cpu() - cpu0) / (time.perf_counter() - wall0) < 1.4
+    np.testing.assert_allclose(out, rows @ cols.T, rtol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -385,7 +512,7 @@ def _peak_mb(fn, *args):
 
 
 def test_scans_hold_no_n_by_n_array(monkeypatch):
-    # one 3000 x 3000 float64 array is 72 MB; a 64-row block is 1.5 MB
+    # one 3000 x 3000 float64 array is 72 MB; a 32-row block is 0.77 MB
     monkeypatch.setenv("CONTRACTFLOW_THREADS", "1")
     arc = cf.make_circle_arc(1.4, 3000)
     plan = cf.exponential_plan_with_rate(arc, 3.0)
