@@ -11,14 +11,18 @@ j >= i0, about half the pairs of a full row block. The (C)/(CW1) slacks are
 not symmetric and read every column.
 
 A scan of at least PARALLEL_PAIRS pairs runs its blocks on ``thread_count()``
-worker threads, by default one per CPU the process may use (numpy releases
-the GIL inside the block kernels). Smaller scans run serially: their short
-numpy calls leave the workers contending for the GIL, and on 2 CPUs two
-threads lost to one up to about 2000 rows. Results are combined in block
-index order, so the reported minimum and witness are identical no matter how
-many threads run. The block products go through ``block_product``, CHUNK
-columns at a time, which the BLAS runs on the calling thread instead of
-splitting each one across helper threads that spin against the scan's.
+worker threads (numpy releases the GIL inside the block kernels): one unless
+CONTRACTFLOW_THREADS asks for more. Extra workers pay only while the CPUs
+they run on are free, so on a shared machine they make a scan's time follow
+the load of its neighbours (on a 2-vCPU VM, two workers took 0.49 to 0.78 s
+for what one did in 0.68 to 0.77 s, as the host's steal time varied). Smaller
+scans always run serially: their short numpy calls leave the workers
+contending for the GIL, and on 2 CPUs two threads lost to one up to about
+2000 rows. Results are combined in block index order, so the reported
+minimum and witness are identical no matter how many threads run. The block
+products go through ``block_product``, CHUNK columns at a time, which the
+BLAS runs on the calling thread instead of splitting each one across helper
+threads that spin against the scan's.
 
 Each worker carves its working arrays with ``scratch`` out of one slab that
 the caller of the scan allocates before the workers start (buffers that the
@@ -45,15 +49,11 @@ _local = local()
 
 
 def thread_count() -> int:
-    """Workers of a large scan: CONTRACTFLOW_THREADS when set, else the usable CPUs."""
+    """Workers of a large scan: CONTRACTFLOW_THREADS when it is an integer, else 1."""
     try:
         return max(1, int(os.environ.get("CONTRACTFLOW_THREADS", "")))
     except ValueError:
-        pass
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+        return 1
 
 
 def scratch(shape, dtype=float) -> np.ndarray:

@@ -296,22 +296,23 @@ def all_checks(arc):
 
 
 @pytest.mark.parametrize("n", [4129, 4999])
-def test_default_threads_match_one_thread(monkeypatch, n):
+def test_two_threads_match_the_default(monkeypatch, n):
     # 4129 = 2 x 2048 + 33: the last row block and the last product chunk of
-    # a row are both short
+    # a row are both short; both sizes are above the parallel floor
     arc = cf.make_circle_arc(1.4, n)
     monkeypatch.delenv("CONTRACTFLOW_THREADS", raising=False)
     default = all_checks(arc)
-    monkeypatch.setenv("CONTRACTFLOW_THREADS", "1")
+    monkeypatch.setenv("CONTRACTFLOW_THREADS", "2")
     assert all_checks(arc) == default
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity masks")
-def test_default_thread_count_is_the_usable_cpus(monkeypatch):
+def test_default_thread_count_is_one(monkeypatch):
     monkeypatch.delenv("CONTRACTFLOW_THREADS", raising=False)
-    assert _scan.thread_count() == len(os.sched_getaffinity(0))
+    assert _scan.thread_count() == 1
     monkeypatch.setenv("CONTRACTFLOW_THREADS", "3")
     assert _scan.thread_count() == 3
+    monkeypatch.setenv("CONTRACTFLOW_THREADS", "all")
+    assert _scan.thread_count() == 1
 
 
 def _helper_threads(monkeypatch):
