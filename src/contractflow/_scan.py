@@ -24,11 +24,11 @@ products go through ``block_product``, CHUNK columns at a time, which the
 BLAS runs on the calling thread instead of splitting each one across helper
 threads that spin against the scan's.
 
-Each worker carves its working arrays with ``scratch`` out of one slab that
-the caller of the scan allocates before the workers start (buffers that the
-workers allocated themselves would stay in per-thread malloc arenas); the
-kernels write into them with ``out=`` and in-place ufuncs, so no block
-allocates an array of its own size.
+Each worker carves its working arrays with ``scratch`` out of one slab, sized
+for the scan's kernel, that the caller of the scan allocates before the
+workers start (buffers that the workers allocated themselves would stay in
+per-thread malloc arenas); the kernels write into them with ``out=`` and
+in-place ufuncs, so no block allocates an array of its own size.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ BLOCK = 32  # rows per block
 SMALL_BLOCK = 64  # rows per block of a scan below PARALLEL_PAIRS
 CHUNK = 2048  # columns per BLAS call of a block product
 PARALLEL_PAIRS = 2**21  # scans of fewer pairs run serially
-SLAB_LAYERS = 4  # block-sized float64 arrays (rows x (n_rows + 1)) one block may hold at once
 LOWER = np.tril(np.ones((SMALL_BLOCK, SMALL_BLOCK), dtype=bool))  # pairs j <= i of a block's corner
 _local = local()
 
@@ -73,22 +72,26 @@ def scratch(shape, dtype=float) -> np.ndarray:
     return slab[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def map_blocks(fn, n_rows: int) -> list:
+def map_blocks(fn, n_rows: int, *, layers: float) -> list:
     """``fn(i0, i1)`` on every block of rows, results in block order.
 
     A scan of PARALLEL_PAIRS pairs or more (n_rows^2 / 2, an upper triangle)
     runs blocks of BLOCK rows on ``thread_count()`` workers, at most one per
     block; the calling thread is one of them, and each takes the next block
     not yet taken. A smaller scan runs blocks of SMALL_BLOCK rows serially.
-    Each worker gets a slab of SLAB_LAYERS x rows x (n_rows + 1) float64
-    values, allocated here and released when the scan returns. An exception
-    in any block is raised here.
+    ``fn`` declares the ``layers`` its block carves with ``scratch``, in
+    float64 arrays of rows x (n_rows + 1) (a bool array is 1/8 of a layer),
+    and each worker gets a slab of that size, allocated here and released
+    when the scan returns. ``layers`` has no default, so that no kernel
+    falls back to allocating in its workers unseen. An exception in any
+    block is raised here.
     """
     large = n_rows * n_rows >= 2 * PARALLEL_PAIRS
     rows = BLOCK if large else SMALL_BLOCK
     spans = [(i0, min(i0 + rows, n_rows)) for i0 in range(0, n_rows, rows)]
     workers = min(thread_count(), len(spans)) if large else 1
-    slab_bytes = SLAB_LAYERS * rows * (n_rows + 1) * 8 + SLAB_LAYERS * 64
+    # each scratch array starts 64-byte aligned, so a layer may need 63 bytes more
+    slab_bytes = math.ceil(layers * rows * (n_rows + 1) * 8) + math.ceil(layers) * 64
     slabs = [np.empty(slab_bytes, np.uint8) for _ in range(workers)]
     results = [None] * len(spans)
     todo, lock, failures = iter(range(len(spans))), Lock(), []
@@ -128,7 +131,7 @@ def block_argmin(vals: np.ndarray, i0: int, j0: int = 0) -> tuple:
     return float(vals[r, c]), i0 + r, j0 + c
 
 
-def pairwise_min(block_fn, n_rows: int):
+def pairwise_min(block_fn, n_rows: int, *, layers: float):
     """Minimize block_fn over row blocks.
 
     ``block_fn(i0, i1)`` returns the upper-triangle block: a (i1 - i0, n - i0)
@@ -136,7 +139,7 @@ def pairwise_min(block_fn, n_rows: int):
     pairs. Returns ``(min_value, i, j)`` with the lexicographically first
     witness among ties: the builtin min of the per-block tuples. A block_fn
     that returns a (k, i1 - i0, n - i0) stack reduces k quantities in one pass
-    and gets a list of k such triples.
+    and gets a list of k such triples. ``layers`` is as in ``map_blocks``.
     """
     def reduce(i0, i1):
         vals = block_fn(i0, i1)
@@ -144,7 +147,7 @@ def pairwise_min(block_fn, n_rows: int):
             return block_argmin(vals, i0, i0)
         return [block_argmin(layer, i0, i0) for layer in vals]
 
-    results = map_blocks(reduce, n_rows)
+    results = map_blocks(reduce, n_rows, layers=layers)
     if isinstance(results[0], list):
         return [min(layer) for layer in zip(*results)]
     return min(results)

@@ -8,6 +8,8 @@ runs on a stratified random subsample as a cross-check.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +19,8 @@ from .curve import Curve, RegularityEstimate
 from .errors import BoundViolated, NotStronglyContracted
 
 STRICT_TOL = 1e-9
+N_STRATA = 8  # span strata of the metric check
+TABLE_TRIPLES = 100_000  # most triples the metric check scores from a chord table
 
 
 class ContractLevel(enum.Enum):
@@ -75,7 +79,7 @@ def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
         ip = tangent_chord(curve, i0, i1)
         return mask_lower(np.divide(ip, pair_gaps(t, i0, i1), out=ip))
 
-    qmin, i, j = pairwise_min(block, len(t))
+    qmin, i, j = pairwise_min(block, len(t), layers=2)
     worst = (float(t[i]), float(t[j]), qmin)
     if qmin > tol:
         level = ContractLevel.STRONGLY
@@ -131,6 +135,77 @@ def _chord_lengths(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _strata(n: int, n_triples: int, seed: int):
+    """The metric check's triples, one stratum at a time: ``(i, j, k, dropped)``.
+
+    8 strata of n_triples // 8 draws, each a start index and two gaps below
+    the stratum's span, then all n - 2 consecutive triples. Draws that run
+    past the last sample are clipped to it and marked in ``dropped``. A
+    stratum is drawn only when the one before it has been taken.
+    """
+    rng = np.random.default_rng(seed)
+    per = max(n_triples // N_STRATA, 1)
+    for s in range(N_STRATA):
+        span = max(int(n * 2.0 ** (s - N_STRATA + 1)), 3)
+        i = rng.integers(0, n - 2, size=per)
+        j = i + rng.integers(1, span, size=per)
+        k = j + rng.integers(1, span, size=per)
+        dropped = k >= n
+        np.minimum(j, n - 1, out=j)
+        np.minimum(k, n - 1, out=k)
+        yield i, j, k, dropped
+    i = np.arange(n - 2)
+    yield i, i + 1, i + 2, np.zeros(n - 2, dtype=bool)
+
+
+@functools.lru_cache(maxsize=1)
+def _triple_plan(n: int, n_triples: int, seed: int) -> tuple:
+    """Per stratum, read-only indices ``(i n + k, j n + k)`` into ``_chord_table``.
+
+    A dropped triple reads the table's two sentinels instead, +inf and 0, so
+    its slack is +inf whatever the chords. The indices take the smallest
+    unsigned type that holds them: uint16 up to N = 255, then uint32.
+    """
+    index = np.min_scalar_type(n * n + 1)
+    plan = []
+    for ik, jk, k, dropped in _strata(n, n_triples, seed):
+        ik *= n
+        ik += k
+        jk *= n
+        jk += k
+        ik[dropped], jk[dropped] = n * n, n * n + 1
+        ik, jk = ik.astype(index), jk.astype(index)
+        ik.setflags(write=False)
+        jk.setflags(write=False)
+        plan.append((ik, jk))
+    return tuple(plan)
+
+
+def _chord_table(P: np.ndarray) -> np.ndarray:
+    """||P[r] - P[c]|| at r N + c, each bitwise equal to ``_chord_lengths``; then +inf, 0."""
+    n, d = P.shape
+    flat = np.empty(n * n + 2)
+    table = flat[:-2].reshape(n, n)
+    if d >= 8:
+        # whole rows, as _chord_lengths gathers them, a few table rows at a time
+        rows = max(1, 2**16 // (n * d))
+        for r in range(0, n, rows):
+            table[r:r + rows] = np.linalg.norm(P[r:r + rows, None] - P[None], axis=2)
+    else:
+        diff = None
+        for c, x in enumerate(P.T):
+            if c == 0:
+                np.subtract.outer(x, x, out=table)
+                table *= table
+            else:
+                diff = np.subtract.outer(x, x, out=diff)
+                diff *= diff
+                table += diff
+        np.sqrt(table, out=table)
+    flat[-2:] = np.inf, 0.0
+    return flat
+
+
 def check_self_contracted_metric(curve: Curve, n_triples: int,
                                  seed: int = 0, tol_factor: float = 1e-9) -> ContractReport:
     """Metric triple inequality on random triples plus all consecutive ones.
@@ -139,8 +214,18 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     global configurations are covered: 8 strata of n_triples // 8 draws,
     each a start index and two gaps below the stratum's span. Draws that run
     past the last sample are dropped (their slack is +inf), and the first
-    triple of least slack is the witness. Violation threshold is
-    tol = tol_factor * L.
+    triple of least slack is the witness (the first NaN slack, if any).
+    Violation threshold is tol = tol_factor * L.
+
+    The draws depend only on (N, n_triples, seed). When n_triples is at most
+    TABLE_TRIPLES and the N x N chord table is no larger than the chords the
+    triples ask for (N^2 <= 2 n_triples: N <= 447 at the default 100 000),
+    the draws of the last key are kept as table indices (0.4 MB at N = 200,
+    0.8 MB at most), and each call builds the table (1.6 MB at most) and
+    scores a stratum with two gathers from it. Otherwise the strata are drawn
+    afresh on every call and each is scored before the next is drawn, so a
+    call holds about one stratum and keeps nothing: under 1 MB at the
+    default however large N is. Both paths give the same slacks bit for bit.
     """
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
@@ -148,33 +233,14 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     if n < 3:
         raise ValueError(f"the metric check needs at least 3 samples, got {n}")
     t, P = curve.params, curve.points
-    rng = np.random.default_rng(seed)
-
-    n_strata = 8
-    per = max(n_triples // n_strata, 1)
-
-    def least(i, j, kk):
-        """(slack, i, j, k) of the chunk's first least slack."""
-        dropped = kk >= n
-        np.minimum(j, n - 1, out=j)
-        np.minimum(kk, n - 1, out=kk)
-        slack = _chord_lengths(P, i, kk)
-        slack -= _chord_lengths(P, j, kk)
-        slack[dropped] = np.inf
-        w = int(np.argmin(slack))
-        return slack[w], i[w], j[w], kk[w]
-
-    # one stratum at a time, each scored before the next is drawn: the same
-    # draws in the same order as drawing them all first
-    chunks = []
-    for k in range(n_strata):
-        span = max(int(n * 2.0 ** (k - n_strata + 1)), 3)
-        i = rng.integers(0, n - 2, size=per)
-        j = i + rng.integers(1, span, size=per)
-        chunks.append(least(i, j, j + rng.integers(1, span, size=per)))
-    i = np.arange(n - 2)
-    chunks.append(least(i, i + 1, i + 2))
-    # argmin over the chunk minima keeps argmin's rule over all triples: the
+    if n_triples <= TABLE_TRIPLES and n * n <= 2 * n_triples:
+        plan = _triple_plan(n, n_triples, seed)
+        table = _chord_table(P)
+        chunks = [_least_in_table(table, n, ik, jk, lambda s=s: _stratum(n, n_triples, seed, s))
+                  for s, (ik, jk) in enumerate(plan)]
+    else:
+        chunks = [_least_by_chords(P, *stratum) for stratum in _strata(n, n_triples, seed)]
+    # argmin over the stratum minima keeps argmin's rule over all triples: the
     # first NaN, else the first least slack
     slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
     tol = tol_factor * curve.length
@@ -183,6 +249,36 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     worst = tuple(float(t[m]) for m in triple) + (float(slack),)
     return ContractReport(level=level, c0=0.0, worst_pair=None,
                           worst_triple=worst, tol=tol)
+
+
+def _stratum(n: int, n_triples: int, seed: int, s: int) -> tuple:
+    """Stratum s of ``_strata``, drawn again."""
+    return next(itertools.islice(_strata(n, n_triples, seed), s, None))
+
+
+def _least_in_table(table, n, ik, jk, draws):
+    """(slack, i, j, k) of a stratum's first least slack, scored from the chord table.
+
+    ``draws()`` gives the stratum's clipped draws, which only a dropped
+    triple needs: its table indices are the sentinels.
+    """
+    slack = table.take(ik)
+    slack -= table.take(jk)
+    w = int(np.argmin(slack))
+    if ik[w] == n * n:
+        i, j, k, _ = draws()
+        return slack[w], i[w], j[w], k[w]
+    i, k = divmod(int(ik[w]), n)
+    return slack[w], i, int(jk[w]) // n, k
+
+
+def _least_by_chords(P, i, j, k, dropped):
+    """(slack, i, j, k) of a stratum's first least slack, scored from its own chords."""
+    slack = _chord_lengths(P, i, k)
+    slack -= _chord_lengths(P, j, k)
+    slack[dropped] = np.inf
+    w = int(np.argmin(slack))
+    return slack[w], i[w], j[w], k[w]
 
 
 def classify(curve: Curve, n_triples: int = 100_000, seed: int = 0,
@@ -229,7 +325,8 @@ def _taylor_scan(curve: Curve, bounds: list) -> list:
         return out
 
     results = []
-    for (constant, power), (worst, i, j) in zip(bounds, pairwise_min(block, len(t))):
+    scans = pairwise_min(block, len(t), layers=2 + len(bounds))
+    for (constant, power), (worst, i, j) in zip(bounds, scans):
         gap = t[j] - t[i]
         lhs = float(T[i] @ (P[j] - P[i]))
         rhs = float(gap - constant * gap**power)

@@ -433,7 +433,7 @@ def holder_seminorm(curve: Curve, alpha: float,
         dist /= gaps
         return float(mask_lower(dist, -np.inf).max())
 
-    sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
+    sem = safety_factor * max(map_blocks(block_max, len(t) - 1, layers=3))
     c1 = sem * sem / (2.0 * (2.0 * alpha + 1.0))
     return RegularityEstimate(alpha=alpha, holder_seminorm=sem, c1=c1,
                               safety_factor=safety_factor)

@@ -116,7 +116,8 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
                     widest = (-float(gaps[w]), i0 + int(r[w]), int(c[w]))
             return least, step1, step2, n_hits, widest
 
-        least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f)))
+        # cross and slack, and the band's bool hits
+        least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f), layers=2.125))
         jet._scans[tol] = (min(least), float(min(step1)), float(min(step2)),
                            sum(n_equal), min(widest))
     return jet._scans[tol]
@@ -192,7 +193,9 @@ class ConvexExtension:
         return len(self.values)
 
     def piece_values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.gradients.T + self.offsets
+        p = np.asarray(x, dtype=float) @ self.gradients.T
+        p += self.offsets
+        return p
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,7 +265,9 @@ def eval_grad(ext: ConvexExtension, x) -> np.ndarray:
     if eps == 0.0:
         idx = np.argmax(p, axis=-1)
         return ext.gradients[idx]
-    m = p.max(axis=-1, keepdims=True)
-    w = np.exp((p - m) / eps)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w @ ext.gradients
+    # in place: no temporaries on the flow integrators' one-point calls
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    p /= eps
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return p @ ext.gradients

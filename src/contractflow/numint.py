@@ -18,16 +18,20 @@ from .errors import QuadratureBudgetExceeded
 MAX_EVALS = 100_000
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48,
+                     *, fa=None, fb=None) -> float:
     """Integrate a scalar function over [a, b] to absolute tolerance ``tol``.
 
+    ``fa`` and ``fb``, when given, are the caller's f(a) and f(b), which
+    are then not evaluated again (they still count against the budget).
     Raises QuadratureBudgetExceeded once MAX_EVALS evaluations of ``f`` have
     not reached ``tol``, as when the integrand's rounding noise exceeds it:
     the splitting would otherwise go on toward 2^max_depth cells.
     """
     if a == b:
         return 0.0
-    fa, fb = f(a), f(b)
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)

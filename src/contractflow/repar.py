@@ -184,11 +184,13 @@ def endpoint_plan(curve: Curve, c0: float, c1_cubic: float,
             return 0.0
         return (1.0 - math.exp(-0.5 * b * u * u)) / u
 
-    # D is tabulated once: adaptive Simpson on 256 cells, Hermite in between
+    # D is tabulated once: adaptive Simpson on 256 cells, Hermite in between;
+    # g is evaluated once per node, and each cell starts from its end values
     nodes = np.linspace(0.0, L, 257)
-    cells = [adaptive_simpson(g, x0, x1) for x0, x1 in zip(nodes[:-1], nodes[1:])]
-    d_cum = CumulativeTable(nodes, np.concatenate([[0.0], np.cumsum(cells)]),
-                            [g(u) for u in nodes])
+    g_nodes = [g(u) for u in nodes]
+    cells = [adaptive_simpson(g, x0, x1, fa=g0, fb=g1) for x0, x1, g0, g1
+             in zip(nodes[:-1], nodes[1:], g_nodes[:-1], g_nodes[1:])]
+    d_cum = CumulativeTable(nodes, np.concatenate([[0.0], np.cumsum(cells)]), g_nodes)
     d_total = d_cum.total
     log_k = 0.5 * b * L * L - math.log(b)
 
@@ -243,7 +245,7 @@ def _check_zeta_hypothesis(curve: Curve, zeta) -> None:
         ip -= bound
         return mask_lower(ip)
 
-    worst, i, j = pairwise_min(block, len(t))
+    worst, i, j = pairwise_min(block, len(t), layers=3)
     if worst < -1e-9:
         raise HypothesisViolated(
             f"zeta bound fails by {worst:.3g} at (t, s) = ({t[i]:.6g}, {t[j]:.6g})")
@@ -393,7 +395,7 @@ def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:
             ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=scratch(ip.shape))
         return mask_lower(ip)
 
-    margin, i, j = pairwise_min(block, max(jmax - 1, 1))
+    margin, i, j = pairwise_min(block, max(jmax - 1, 1), layers=2)
     t0, s0 = float(t[i]), float(t[j])
     worst = (t0, s0)
 
@@ -410,15 +412,18 @@ def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:
     mid = 0.5 * (t0 + s0)
     cands += [(t0, mid), (mid, s0)]
     gap_floor = 0.25 * min(step_t, step_s)  # degenerate gaps measure only fp noise
-    for tc, sc in cands:
-        tc = min(max(tc, 0.0), s_max)
-        sc = min(max(sc, 0.0), s_max)
-        if sc - tc < gap_floor:
-            continue
-        rhs = float(curve.tangent_at(tc) @ (curve.point_at(sc) - curve.point_at(tc)))
-        mg = rhs - float(plan.lhs_M(tc, sc))
-        if mg < margin:
-            margin, worst = mg, (tc, sc)
+    clamped = [(min(max(tc, 0.0), s_max), min(max(sc, 0.0), s_max)) for tc, sc in cands]
+    kept = [(tc, sc) for tc, sc in clamped if not sc - tc < gap_floor]
+    if kept:
+        # every kept candidate in one evaluation per curve quantity, each
+        # entry as the scalar call gives it
+        tcs, scs = np.array(kept).T
+        T, Pt, Ps = curve.tangent_at(tcs), curve.point_at(tcs), curve.point_at(scs)
+        lhs = plan.lhs_M(tcs, scs)
+        for k, cand in enumerate(kept):
+            mg = float(T[k] @ (Ps[k] - Pt[k])) - float(lhs[k])
+            if mg < margin:
+                margin, worst = mg, cand
 
     tw, sw = worst
     lhs_w = float(plan.lhs_M(tw, sw))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contractflow as cf
+from contractflow import contract
 from contractflow.contract import ContractLevel, ContractReport
 from contractflow.errors import BoundViolated, NotStronglyContracted
 
@@ -244,3 +245,159 @@ class TestTaylorBound:
             reg = cf.curve.RegularityEstimate(alpha=1.0, holder_seminorm=exact_sem,
                                               c1=c1, safety_factor=1.0)
             cf.check_taylor_bound(crv, reg)  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# the cached triples and the chord table against the per-stratum check they
+# replaced at small N, copied here as the bitwise reference
+
+def _old_chord_lengths(P, a, b):
+    if P.shape[1] >= 8:
+        return np.linalg.norm(P.take(a, axis=0) - P.take(b, axis=0), axis=1)
+    out = None
+    for x in P.T:
+        x = np.ascontiguousarray(x)
+        diff = x.take(a)
+        diff -= x.take(b)
+        diff *= diff
+        if out is None:
+            out = diff
+        else:
+            out += diff
+    return np.sqrt(out, out=out)
+
+
+def _per_stratum_metric_reference(curve, n_triples, seed=0, tol_factor=1e-9):
+    """The metric check before its triples were cached: each stratum drawn and scored in turn."""
+    n = curve.n_samples
+    t, P = curve.params, curve.points
+    rng = np.random.default_rng(seed)
+    n_strata = 8
+    per = max(n_triples // n_strata, 1)
+
+    def least(i, j, kk):
+        dropped = kk >= n
+        np.minimum(j, n - 1, out=j)
+        np.minimum(kk, n - 1, out=kk)
+        slack = _old_chord_lengths(P, i, kk)
+        slack -= _old_chord_lengths(P, j, kk)
+        slack[dropped] = np.inf
+        w = int(np.argmin(slack))
+        return slack[w], i[w], j[w], kk[w]
+
+    chunks = []
+    for k in range(n_strata):
+        span = max(int(n * 2.0 ** (k - n_strata + 1)), 3)
+        i = rng.integers(0, n - 2, size=per)
+        j = i + rng.integers(1, span, size=per)
+        chunks.append(least(i, j, j + rng.integers(1, span, size=per)))
+    i = np.arange(n - 2)
+    chunks.append(least(i, i + 1, i + 2))
+    slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
+    tol = tol_factor * curve.length
+    level = (ContractLevel.NOT_SELF_CONTRACTED if slack < -tol
+             else ContractLevel.SELF_CONTRACTED)
+    worst = tuple(float(t[m]) for m in triple) + (float(slack),)
+    return ContractReport(level=level, c0=0.0, worst_pair=None,
+                          worst_triple=worst, tol=tol)
+
+
+def _assert_matches_reference(crv, n_triples, seed):
+    assert (repr(cf.check_self_contracted_metric(crv, n_triples, seed=seed))
+            == repr(_per_stratum_metric_reference(crv, n_triples, seed=seed)))
+
+
+class TestCachedMetricTriples:
+    @pytest.mark.parametrize("n, n_triples", [(447, 100_000), (448, 100_000), (50, 7), (3, 7),
+                                              (3, 1), (200, 100_000), (200, 19_999),
+                                              (255, 100_000), (256, 100_000), (200, 100_001)])
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_both_sides_of_the_table_rule(self, n, n_triples, d):
+        # 447^2 <= 200 000 < 448^2: the table scores the first, the chords the
+        # second; more than TABLE_TRIPLES triples always take the chords
+        for seed in (0, 1):
+            crv = _random_walk_curve(n, d, seed)
+            before = contract._triple_plan.cache_info()
+            _assert_matches_reference(crv, n_triples, seed)
+            used_table = contract._triple_plan.cache_info() != before
+            assert used_table == (n_triples <= 100_000 and n * n <= 2 * n_triples)
+
+    def test_repeated_calls_hit_the_cache(self):
+        # the cache keeps the last key only
+        contract._triple_plan.cache_clear()
+        curves = [_random_walk_curve(200, 2, s) for s in (0, 1)]
+        for seed in (0, 1):
+            for _ in range(3):
+                for crv in curves:
+                    _assert_matches_reference(crv, 100_000, seed)
+        info = contract._triple_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 10, 1)
+
+    def test_many_triples_keep_nothing(self):
+        # 10^6 triples at N = 200 pass N^2 <= 2 n_triples, but they are scored
+        # one stratum at a time and no plan (4 MB) is kept after the call
+        contract._triple_plan.cache_clear()
+        crv = _random_walk_curve(200, 2, 0)
+        tracemalloc.start()
+        try:
+            rep = cf.check_self_contracted_metric(crv, 1_000_000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert contract._triple_plan.cache_info().currsize == 0
+        assert kept < 100_000
+        assert peak < 8_000_000  # one stratum of 125 000 draws, 7.1 MB as before the cache
+        assert repr(rep) == repr(_per_stratum_metric_reference(crv, 1_000_000))
+
+    @pytest.mark.parametrize("n, dtype", [(15, np.uint8), (16, np.uint16), (200, np.uint16),
+                                          (255, np.uint16), (256, np.uint32), (447, np.uint32)])
+    def test_cached_plan_is_read_only_and_under_1mb(self, n, dtype):
+        plan = contract._triple_plan(n, 100_000, 0)
+        assert sum(a.nbytes for stratum in plan for a in stratum) < 1_000_000
+        for stratum in plan:
+            for a in stratum:
+                assert a.dtype == dtype and not a.flags.writeable
+
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_nan_points(self, n):
+        # planted overflowing points give inf chords and NaN slacks, in the
+        # table at N = 200 and in the per-stratum chords at N = 600
+        for seed in (0, 1):
+            crv = _random_walk_curve(n, 2, seed)
+            P = crv.points.copy()
+            P[[17, n // 2, n - 10]] = [[1.5e308, -1.5e308], [-1.5e308, 1.5e308], [1.5e308, 1.5e308]]
+            crv = cf.Curve(params=crv.params, points=P, tangents=crv.tangents)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = cf.check_self_contracted_metric(crv, 100_000, seed=seed)
+                ref = _per_stratum_metric_reference(crv, 100_000, seed=seed)
+            assert np.isnan(rep.worst_triple[-1])
+            assert repr(rep) == repr(ref)
+
+    def test_dropped_triple_can_be_the_witness(self):
+        # every real slack is +inf (|P0 - P2| overflows, |P1 - P2| = 1), so the
+        # first triple of stratum 0 is the witness, dropped or not, with its
+        # indices clipped as the chords read them
+        P = np.array([[-1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 0.0]])
+        crv = cf.Curve(params=[0.0, 1.0, 2.0], points=P, tangents=[[1.0, 0.0]] * 3)
+        for n_triples in (7, 1):  # the table, then the chords
+            witnesses = set()
+            for seed in range(8):
+                with np.errstate(over="ignore"):
+                    rep = cf.check_self_contracted_metric(crv, n_triples, seed=seed)
+                    ref = _per_stratum_metric_reference(crv, n_triples, seed=seed)
+                assert repr(rep) == repr(ref)
+                witnesses.add(rep.worst_triple[:3])
+            assert (0.0, 2.0, 2.0) in witnesses  # a dropped draw, j = 2 and k = 3 clipped
+
+    def test_cold_call_memory_at_n_200(self):
+        # the plan (0.4 MB, kept) is built one stratum at a time, and the
+        # 200 x 200 table is 0.3 MB
+        contract._triple_plan.cache_clear()
+        crv = cf.make_circle_arc(np.pi / 2, 200)
+        tracemalloc.start()
+        try:
+            cf.check_self_contracted_metric(crv, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000

@@ -186,6 +186,31 @@ class TestEvalGrad:
                                  gradients=jet.gradients, smoothing_eps=0.0)
         np.testing.assert_array_equal(cf.eval_grad(ext, np.zeros(2)), [1.0, 0.0])
 
+    def test_one_point_matches_the_batch_formula_bit_for_bit(self, circle_jet):
+        # the in-place path for one point against the formula it replaced,
+        # with points far enough out that most softmax weights underflow to 0
+        def reference(ext, x):
+            p = np.asarray(x, dtype=float) @ ext.gradients.T + ext.offsets
+            m = p.max(axis=-1, keepdims=True)
+            w = np.exp((p - m) / ext.smoothing_eps)
+            w /= w.sum(axis=-1, keepdims=True)
+            return w @ ext.gradients
+
+        rng = np.random.default_rng(5)
+        pts = np.concatenate([rng.uniform(-0.5, 1.5, size=(1000, 2)),
+                              rng.normal(scale=50.0, size=(1000, 2))])
+        underflowed = 0
+        for eps in (1e-2, 1e-6):
+            ext = cf.build_extension(circle_jet, smoothing_eps=eps)
+            for x in pts:
+                got = cf.eval_grad(ext, x)
+                assert got.tobytes() == reference(ext, x).tobytes()
+                p = ext.piece_values(x)
+                underflowed += np.count_nonzero(np.exp((p - p.max()) / eps) == 0.0)
+            batch = cf.eval_grad(ext, pts[:64])
+            assert batch.tobytes() == reference(ext, pts[:64]).tobytes()
+        assert underflowed > 0
+
 
 class TestExtensionInvariants:
     def test_subgradient_property(self, circle_jet):

@@ -59,6 +59,24 @@ def test_simpson_stops_on_noise_below_tol():
     assert len(calls) <= numint.MAX_EVALS
 
 
+def test_simpson_end_values_from_the_caller():
+    # given f(a) and f(b), the same cells are refined to the same bits, and
+    # the evaluation budget ends a noisy call as before
+    f = lambda x: math.exp(-3.0 * x) / (1.0 + x)
+    for a, b in ((0.0, 1.0), (0.25, 3.0)):
+        calls = []
+        counted = lambda x: calls.append(x) or f(x)
+        plain = adaptive_simpson(counted, a, b)
+        n_plain = len(calls)
+        calls.clear()
+        assert adaptive_simpson(counted, a, b, fa=f(a), fb=f(b)) == plain
+        assert len(calls) == n_plain - 2
+    rng = random.Random(0)
+    noisy = lambda x: 1.0 + 1e-12 * rng.random()
+    with pytest.raises(QuadratureBudgetExceeded, match="did not reach tol"):
+        adaptive_simpson(noisy, 0.0, 1.0, tol=1e-15, fa=1.0, fb=1.0)
+
+
 def test_invert_monotone_newton():
     fn = lambda x: x**3 + x
     x = invert_monotone(fn, 10.0, 0.0, 5.0, deriv=lambda x: 3 * x**2 + 1)

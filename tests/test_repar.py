@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import contractflow as cf
+from contractflow import cli
+from contractflow._scan import mask_lower, pairwise_min, tangent_chord
 from contractflow.errors import HorizonExceedsT, NonPositiveC0
 from contractflow.numint import adaptive_simpson
 
@@ -232,3 +234,129 @@ class TestPlanInvariants:
                              theta_inv=lambda s: s)
         with pytest.raises(ValueError):
             rp._validate_profile(bad)
+
+
+# ---------------------------------------------------------------------------
+# verify_M's refinement and the endpoint D-table against the per-candidate
+# and per-cell code they replaced, copied here as the bitwise reference
+
+def _scalar_refinement_verify_M(curve, plan):
+    t = curve.params
+    n = len(t)
+    jmax = n if plan.kind == "exponential" else n - 1
+
+    def block(i0, i1):
+        ip = tangent_chord(curve, i0, i1, jmax)
+        with np.errstate(over="ignore"):
+            ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=np.empty(ip.shape))
+        return mask_lower(ip)
+
+    margin, i, j = pairwise_min(block, max(jmax - 1, 1), layers=2)
+    t0, s0 = float(t[i]), float(t[j])
+    worst = (t0, s0)
+    step_t = float(t[min(i + 1, n - 1)] - t[max(i - 1, 0)]) / 2.0
+    step_s = float(t[min(j + 1, n - 1)] - t[max(j - 1, 0)]) / 2.0
+    s_max = float(t[jmax - 1])
+    cands = []
+    for dt_ in (-0.5 * step_t, 0.0, 0.5 * step_t):
+        for ds_ in (-0.5 * step_s, 0.0, 0.5 * step_s):
+            if dt_ == 0.0 and ds_ == 0.0:
+                continue
+            cands.append((t0 + dt_, s0 + ds_))
+    mid = 0.5 * (t0 + s0)
+    cands += [(t0, mid), (mid, s0)]
+    gap_floor = 0.25 * min(step_t, step_s)
+    for tc, sc in cands:
+        tc = min(max(tc, 0.0), s_max)
+        sc = min(max(sc, 0.0), s_max)
+        if sc - tc < gap_floor:
+            continue
+        rhs = float(curve.tangent_at(tc) @ (curve.point_at(sc) - curve.point_at(tc)))
+        mg = rhs - float(plan.lhs_M(tc, sc))
+        if mg < margin:
+            margin, worst = mg, (tc, sc)
+    tw, sw = worst
+    lhs_w = float(plan.lhs_M(tw, sw))
+    return cf.repar.MReport(holds=bool(margin > 0.0), worst_pair=(tw, sw, lhs_w, lhs_w + margin),
+                            margin=float(margin))
+
+
+def _sampled_arc(path, n=300, warp=0.3):
+    # exact arc samples at warped arc-length parameters: a curve the library
+    # evaluates through its spline fit
+    x = np.linspace(0.0, 1.0, n)
+    u = 1.4 * (x + warp * np.sin(2.0 * np.pi * x) / (2.0 * np.pi))
+    u[0], u[-1] = 0.0, 1.4
+    np.savetxt(path, np.column_stack([u, np.cos(u), np.sin(u), -np.sin(u), np.cos(u)]),
+               delimiter=",", header="t,x1,x2,tx1,tx2", comments="", fmt="%.17g")
+    return cf.curve.load_csv(path)
+
+
+def _pipeline_plans(curve):
+    c0 = cf.estimate_c0(curve)
+    return [cli._build_plan(cli.PipelineConfig(generator="circle", plan_kind=kind), curve, c0)[0]
+            for kind in ("exp", "endpoint", "zeta")]
+
+
+def test_refinement_on_arrays_matches_scalar_candidates(tmp_path):
+    curves = [cf.make_circle_arc(1.2, 200), cf.make_circle_arc(np.pi / 2, 1000, 1.7),
+              cf.make_log_spiral(0.5, 2.0, 200), _sampled_arc(tmp_path / "arc.csv")]
+    for crv in curves:
+        plans = _pipeline_plans(crv) + [cf.exponential_plan_with_rate(crv, 2.0)]
+        for plan in plans:
+            assert repr(cf.verify_M(crv, plan)) == repr(_scalar_refinement_verify_M(crv, plan))
+        # the premise, on many pairs: one array call gives each entry as a scalar call does
+        rng = np.random.default_rng(0)
+        ts = np.sort(rng.uniform(0.0, crv.length, size=(2, 300)), axis=0)
+        T, Pt, Ps = crv.tangent_at(ts[0]), crv.point_at(ts[0]), crv.point_at(ts[1])
+        for k, (tc, sc) in enumerate(ts.T):
+            tc, sc = float(tc), float(sc)
+            assert T[k].tobytes() == crv.tangent_at(tc).tobytes()
+            assert Pt[k].tobytes() == crv.point_at(tc).tobytes()
+            assert Ps[k].tobytes() == crv.point_at(sc).tobytes()
+        for plan in plans:
+            lhs = plan.lhs_M(ts[0], ts[1])
+            for k, (tc, sc) in enumerate(ts.T):
+                assert float(lhs[k]) == float(plan.lhs_M(float(tc), float(sc)))
+
+
+def test_endpoint_d_table_matches_per_cell_quadrature(monkeypatch):
+    tables, integrand_calls = [], []
+
+    class Recorded(cf.numint.CumulativeTable):
+        def __init__(self, nodes, values, f_nodes):
+            tables.append((np.array(nodes), np.array(values), np.array(f_nodes)))
+            super().__init__(nodes, values, f_nodes)
+
+    def counted_simpson(f, *args, **kw):
+        def g(u):
+            integrand_calls.append(u)
+            return f(u)
+        return adaptive_simpson(g, *args, **kw)
+
+    monkeypatch.setattr(cf.repar, "CumulativeTable", Recorded)
+    monkeypatch.setattr(cf.repar, "adaptive_simpson", counted_simpson)
+    for crv, c1 in ((cf.make_circle_arc(np.pi / 2, 200), 1.0 / 6.0),
+                    (cf.make_circle_arc(1.0, 300, 0.5), 3.0), (cf.make_segment([0, 0], [2, 0], 50), 0.0)):
+        tables.clear()
+        integrand_calls.clear()
+        plan = cf.endpoint_plan(crv, cf.estimate_c0(crv), c1)
+        b, L = plan.b, plan.L
+        ref_calls = []
+
+        def g(u):
+            ref_calls.append(u)
+            if u == 0.0:
+                return 0.0
+            return (1.0 - math.exp(-0.5 * b * u * u)) / u
+
+        nodes = np.linspace(0.0, L, 257)
+        cells = [adaptive_simpson(g, x0, x1) for x0, x1 in zip(nodes[:-1], nodes[1:])]
+        values = np.concatenate([[0.0], np.cumsum(cells)])
+        f_nodes = np.array([g(u) for u in nodes], dtype=float)
+        (got_nodes, got_values, got_f), = tables
+        assert got_nodes.tobytes() == nodes.tobytes()
+        assert got_values.tobytes() == values.tobytes()
+        assert got_f.tobytes() == f_nodes.tobytes()
+        # the cells no longer evaluate their end points; the nodes are evaluated once
+        assert len(integrand_calls) == len(ref_calls) - 257 - 2 * 256

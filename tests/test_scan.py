@@ -220,8 +220,8 @@ def test_large_scans_match_row_references(monkeypatch, k):
     grid = []
     original = repar.pairwise_min
 
-    def recorded(block_fn, n_rows):
-        grid.append(original(block_fn, n_rows))
+    def recorded(block_fn, n_rows, **kw):
+        grid.append(original(block_fn, n_rows, **kw))
         return grid[-1]
 
     monkeypatch.setattr(repar, "pairwise_min", recorded)
@@ -333,7 +333,7 @@ def test_at_most_one_worker_per_block(monkeypatch, n_rows):
     started = _helper_threads(monkeypatch)
     n_blocks = -(-n_rows // _scan.BLOCK)
     with threads(8):
-        spans = _scan.map_blocks(lambda i0, i1: (i0, i1), n_rows)
+        spans = _scan.map_blocks(lambda i0, i1: (i0, i1), n_rows, layers=0)
     assert spans == [(i0, min(i0 + _scan.BLOCK, n_rows)) for i0 in range(0, n_rows, _scan.BLOCK)]
     assert len(started) + 1 == min(8, n_blocks)
     assert not any(thread.is_alive() for thread in started)
@@ -357,7 +357,7 @@ def test_a_failing_block_fails_the_scan():
 
     for k in (1, 3):
         with threads(k), pytest.raises(ValueError, match="block 5"):
-            _scan.map_blocks(block, 1000)
+            _scan.map_blocks(block, 1000, layers=0)
 
 
 def test_kernels_fit_in_their_slab(monkeypatch):
@@ -442,9 +442,9 @@ def _count_scans(monkeypatch):
     calls = []
     original = contract.pairwise_min
 
-    def counted(block_fn, n_rows):
+    def counted(block_fn, n_rows, **kw):
         calls.append(n_rows)
-        return original(block_fn, n_rows)
+        return original(block_fn, n_rows, **kw)
 
     monkeypatch.setattr(contract, "pairwise_min", counted)
     return calls
@@ -470,12 +470,12 @@ def _count_pairs(monkeypatch):
     """Sizes of every block that contract's and repar's pair scans evaluate."""
     sizes = []
     for module in (contract, repar):
-        def counted(block_fn, n_rows, original=module.pairwise_min):
+        def counted(block_fn, n_rows, original=module.pairwise_min, **kw):
             def sized(i0, i1):
                 vals = block_fn(i0, i1)
                 sizes.append(vals.size)
                 return vals
-            return original(sized, n_rows)
+            return original(sized, n_rows, **kw)
 
         monkeypatch.setattr(module, "pairwise_min", counted)
     return sizes
