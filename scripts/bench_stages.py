@@ -13,8 +13,8 @@ never reaches is absent.
     PYTHONPATH=src python3 scripts/bench_stages.py --out BENCH_x.json --label mine
 
 writes (or adds to) the JSON file ``--out`` under ``runs[label]``, with the
-thread settings and library versions of the run, so that runs of two source
-trees or two thread settings sit side by side in one file.
+BLAS thread settings and library versions of the run, so that runs of two
+source trees or two thread settings sit side by side in one file.
 """
 
 from __future__ import annotations
@@ -127,13 +127,10 @@ def measure(recorder, cfg, repeats):
 
 
 def environment():
-    from contractflow import _scan
-    threads = {key: os.environ.get(key) for key in
-               ("CONTRACTFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    threads = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count(), "threads_env": threads,
-            "scan_threads": _scan.thread_count()}
+            else os.cpu_count(), "threads_env": threads}
 
 
 def main():

@@ -2,63 +2,43 @@
 
 Every pair reduction (the strong-contraction product, the Hoelder seminorm,
 the Taylor bounds, the (M)-inequality, the zeta hypothesis and the (C)/(CW1)
-slacks) visits rows in blocks: BLOCK = 32 rows in a scan large enough to run
-in parallel, SMALL_BLOCK = 64 rows below that size, where the fixed cost of
-each numpy call matters more than cache reuse. A scan thus holds O(64 x N)
-memory per worker, never an N x N array. The reductions over pairs j > i
-alone read only the upper triangle: a block of rows i0:i1 has the columns
-j >= i0, about half the pairs of a full row block. The (C)/(CW1) slacks are
-not symmetric and read every column.
+slacks) visits rows in blocks, one after another on the calling thread:
+BLOCK = 32 rows in a scan of at least LARGE_PAIRS pairs, SMALL_BLOCK = 64
+rows below that size, where the fixed cost of each numpy call matters more
+than cache reuse. A scan thus holds O(64 x N) memory, never an N x N array.
+The reductions over pairs j > i alone read only the upper triangle: a block
+of rows i0:i1 has the columns j >= i0, about half the pairs of a full row
+block. The (C)/(CW1) slacks are not symmetric and read every column. Results
+are combined in block order. The block products go through
+``block_product``, CHUNK columns at a time, which the BLAS runs on the
+calling thread, so that no report depends on the BLAS thread count.
 
-A scan of at least PARALLEL_PAIRS pairs runs its blocks on ``thread_count()``
-worker threads (numpy releases the GIL inside the block kernels): one unless
-CONTRACTFLOW_THREADS asks for more. Extra workers pay only while the CPUs
-they run on are free, so on a shared machine they make a scan's time follow
-the load of its neighbours (on a 2-vCPU VM, two workers took 0.49 to 0.78 s
-for what one did in 0.68 to 0.77 s, as the host's steal time varied). Smaller
-scans always run serially: their short numpy calls leave the workers
-contending for the GIL, and on 2 CPUs two threads lost to one up to about
-2000 rows. Results are combined in block index order, so the reported
-minimum and witness are identical no matter how many threads run. The block
-products go through ``block_product``, CHUNK columns at a time, which the
-BLAS runs on the calling thread instead of splitting each one across helper
-threads that spin against the scan's.
-
-Each worker carves its working arrays with ``scratch`` out of one slab, sized
-for the scan's kernel, that the caller of the scan allocates before the
-workers start (buffers that the workers allocated themselves would stay in
-per-thread malloc arenas); the kernels write into them with ``out=`` and
-in-place ufuncs, so no block allocates an array of its own size.
+A block carves its working arrays with ``scratch`` out of one slab, sized
+for the scan's kernel, that ``map_blocks`` allocates for the scan; the
+kernels write into them with ``out=`` and in-place ufuncs, so no block
+allocates an array of its own size. The slab hangs on a thread-local, so
+user threads that run checks at the same time never share one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from threading import Lock, Thread, local
+from threading import local
 
 import numpy as np
 
 BLOCK = 32  # rows per block
-SMALL_BLOCK = 64  # rows per block of a scan below PARALLEL_PAIRS
+SMALL_BLOCK = 64  # rows per block of a scan below LARGE_PAIRS
 CHUNK = 2048  # columns per BLAS call of a block product
-PARALLEL_PAIRS = 2**21  # scans of fewer pairs run serially
+LARGE_PAIRS = 2**21  # scans of at least this many pairs run in blocks of BLOCK rows
 LOWER = np.tril(np.ones((SMALL_BLOCK, SMALL_BLOCK), dtype=bool))  # pairs j <= i of a block's corner
 _local = local()
-
-
-def thread_count() -> int:
-    """Workers of a large scan: CONTRACTFLOW_THREADS when it is an integer, else 1."""
-    try:
-        return max(1, int(os.environ.get("CONTRACTFLOW_THREADS", "")))
-    except ValueError:
-        return 1
 
 
 def scratch(shape, dtype=float) -> np.ndarray:
     """An uninitialized ``shape`` array, valid until this thread's next block.
 
-    Inside ``map_blocks`` it is carved from the worker's slab, which each
+    Inside ``map_blocks`` it is carved from the scan's slab, which each
     block carves again from its start; a request the slab has no room left
     for, and any request outside a scan, gets a fresh array.
     """
@@ -73,52 +53,27 @@ def scratch(shape, dtype=float) -> np.ndarray:
 
 
 def map_blocks(fn, n_rows: int, *, layers: float) -> list:
-    """``fn(i0, i1)`` on every block of rows, results in block order.
+    """``fn(i0, i1)`` on every block of rows in order, the results in a list.
 
-    A scan of PARALLEL_PAIRS pairs or more (n_rows^2 / 2, an upper triangle)
-    runs blocks of BLOCK rows on ``thread_count()`` workers, at most one per
-    block; the calling thread is one of them, and each takes the next block
-    not yet taken. A smaller scan runs blocks of SMALL_BLOCK rows serially.
+    A scan of LARGE_PAIRS pairs or more (n_rows^2 / 2, an upper triangle)
+    runs blocks of BLOCK rows, a smaller one blocks of SMALL_BLOCK rows.
     ``fn`` declares the ``layers`` its block carves with ``scratch``, in
-    float64 arrays of rows x (n_rows + 1) (a bool array is 1/8 of a layer),
-    and each worker gets a slab of that size, allocated here and released
-    when the scan returns. ``layers`` has no default, so that no kernel
-    falls back to allocating in its workers unseen. An exception in any
-    block is raised here.
+    float64 arrays of rows x (n_rows + 1) (a bool array is 1/8 of a layer);
+    the scan allocates a slab of that size and drops it when it returns or
+    raises. ``layers`` has no default, so that no kernel falls back to
+    allocating per block unseen.
     """
-    large = n_rows * n_rows >= 2 * PARALLEL_PAIRS
-    rows = BLOCK if large else SMALL_BLOCK
-    spans = [(i0, min(i0 + rows, n_rows)) for i0 in range(0, n_rows, rows)]
-    workers = min(thread_count(), len(spans)) if large else 1
+    rows = BLOCK if n_rows * n_rows >= 2 * LARGE_PAIRS else SMALL_BLOCK
     # each scratch array starts 64-byte aligned, so a layer may need 63 bytes more
     slab_bytes = math.ceil(layers * rows * (n_rows + 1) * 8) + math.ceil(layers) * 64
-    slabs = [np.empty(slab_bytes, np.uint8) for _ in range(workers)]
-    results = [None] * len(spans)
-    todo, lock, failures = iter(range(len(spans))), Lock(), []
-
-    def work(slab):
-        _local.slab = slab
-        try:
-            while not failures:
-                with lock:
-                    k = next(todo, None)
-                if k is None:
-                    break
-                _local.used = 0
-                results[k] = fn(*spans[k])
-        except BaseException as exc:  # re-raised by the calling thread
-            failures.append(exc)
-        finally:
-            del _local.slab
-
-    helpers = [Thread(target=work, args=(slab,)) for slab in slabs[1:]]
-    for helper in helpers:
-        helper.start()
-    work(slabs[0])
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
+    _local.slab = np.empty(slab_bytes, np.uint8)
+    results = []
+    try:
+        for i0 in range(0, n_rows, rows):
+            _local.used = 0
+            results.append(fn(i0, min(i0 + rows, n_rows)))
+    finally:
+        del _local.slab
     return results
 
 

@@ -58,15 +58,12 @@ class TestRun:
         res = runner.invoke(main, ["run"])
         assert res.exit_code == 2
 
-    def test_deterministic_reports(self, runner, monkeypatch):
+    def test_deterministic_reports(self, runner):
         args = ["run", "--gen", "segment", "--n", "100", "--seed", "7",
                 "--n-triples", "5000"]
         out1 = runner.invoke(main, args).output
         out2 = runner.invoke(main, args).output
         assert out1 == out2
-        monkeypatch.setenv("CONTRACTFLOW_THREADS", "3")
-        out3 = runner.invoke(main, args).output
-        assert out1 == out3
 
     def test_text_format_lists_stages_in_order(self, runner):
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", "100",

@@ -7,18 +7,19 @@ ties: duplicate anchors, equal slacks in different row blocks, and sizes
 that are not multiples of the 32-row block. Integer-valued jets make every
 slack exact in float64, so the engine must reproduce the reference's values
 and its first-witness tie rule bit for bit. Every comparison runs with
-CONTRACTFLOW_THREADS at 1 and at 3, with the parallel floor at 0, so that
-scans of any size run in 32-row blocks and, at 3, on worker threads. At
-N = 4999 the references go one row at a time instead, so that no test holds
-an N x N array.
+scans of any size in blocks of SMALL_BLOCK = 64 rows and of BLOCK = 32
+rows. The tests parametrized by k run their checks on k user threads at
+once, each of which must get the reference results. At N = 4999 the
+references go one row at a time instead, so that no test holds an N x N
+array.
 """
 
-import os
+import math
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager, nullcontext
-from threading import Thread
+from contextlib import contextmanager
+from threading import Thread, current_thread, get_ident
 
 import numpy as np
 import pytest
@@ -37,20 +38,39 @@ arc_chains = st.tuples(
 )
 
 
+ROWS = (_scan.SMALL_BLOCK, _scan.BLOCK)
+
+
 @contextmanager
-def threads(k):
-    """CONTRACTFLOW_THREADS = k, with no parallel floor."""
-    old, floor = os.environ.get("CONTRACTFLOW_THREADS"), _scan.PARALLEL_PAIRS
-    os.environ["CONTRACTFLOW_THREADS"] = str(k)
-    _scan.PARALLEL_PAIRS = 0
+def block_rows(rows):
+    """Scans of any size in blocks of ``rows`` rows: BLOCK or SMALL_BLOCK."""
+    floor = _scan.LARGE_PAIRS
+    _scan.LARGE_PAIRS = 0 if rows == _scan.BLOCK else math.inf
     try:
         yield
     finally:
-        _scan.PARALLEL_PAIRS = floor
-        if old is None:
-            del os.environ["CONTRACTFLOW_THREADS"]
-        else:
-            os.environ["CONTRACTFLOW_THREADS"] = old
+        _scan.LARGE_PAIRS = floor
+
+
+def concurrently(k, fn):
+    """``fn()`` on k user threads started together: their results, or the first failure."""
+    results, failures = [None] * k, []
+
+    def run(r):
+        try:
+            results[r] = fn()
+        except BaseException as exc:  # re-raised on the calling thread
+            failures.append(exc)
+
+    users = [Thread(target=run, args=(r,)) for r in range(k)]
+    for user in users:
+        user.start()
+    for user in users:
+        user.join(timeout=120)
+        assert not user.is_alive()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def build_chain(params):
@@ -136,8 +156,8 @@ def integer_jet(rng, n, dim=2, span=3):
 def test_holder_matches_dense(params, alpha):
     crv = build_chain(params)
     ref = dense_holder(crv, alpha)
-    for k in (1, 3):
-        with threads(k):
+    for rows in ROWS:
+        with block_rows(rows):
             assert cf.holder_seminorm(crv, alpha).holder_seminorm == ref
 
 
@@ -151,8 +171,8 @@ def test_condition_C_matches_dense_on_arc_chains(params, b):
     # the N x N product and a block product may round the cross term <x_i, G_j>
     # differently in the last bit; everything else is exact
     tol = 1e-14 * max(1.0, float(np.abs(jet.anchors).max() * np.abs(jet.gradients).max()))
-    for k in (1, 3):
-        with threads(k):
+    for rows in ROWS:
+        with block_rows(rows):
             rep = cf.check_C(JetData(jet.anchors, jet.values, jet.gradients))
         assert rep.min_slack == pytest.approx(min_slack, abs=tol)
         assert rep.step1_min == pytest.approx(step1, abs=tol)
@@ -167,10 +187,8 @@ def test_condition_C_matches_dense_on_arc_chains(params, b):
 @settings(max_examples=40, deadline=None)
 def test_integer_jets_match_dense_exactly(seed, n, tol):
     jet = integer_jet(np.random.default_rng(seed), n)
-    assert_C_exact(jet)  # the default: serial, in blocks of SMALL_BLOCK rows
-    assert_CW1_exact(jet, tol)
-    for k in (1, 3):
-        with threads(k):
+    for rows in ROWS:
+        with block_rows(rows):
             assert_C_exact(jet)
             assert_CW1_exact(jet, tol)
 
@@ -181,8 +199,8 @@ def test_taylor_bounds_match_dense(params, alpha, third):
     crv = build_chain(params)
     reg = cf.holder_seminorm(crv, alpha).with_third_deriv(third)
     bounds = ((reg.c1, 2.0 * alpha + 1.0, "holder"), (third / 6.0, 3.0, "cubic"))
-    for k in (1, 3):
-        with threads(k):
+    for rows in ROWS:
+        with block_rows(rows):
             rep = cf.check_taylor_bound(crv, reg, tol_factor=np.inf)  # never raises
         for constant, power, name in bounds:
             ref, slack = dense_taylor(crv, constant, power)
@@ -212,30 +230,35 @@ def row_M(curve, plan, i):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_large_scans_match_row_references(monkeypatch, k):
-    # N = 4999: 157 row blocks, the last of 7 rows; the references hold O(N)
-    # memory, never an N x N array
+    # N = 4999: 157 blocks of 32 rows, the last of 7 rows, or 79 of 64; the
+    # references hold O(N) memory, never an N x N array
     arc = cf.make_circle_arc(1.4, 4999)
     plans = [cf.exponential_plan_with_rate(arc, 3.0),
              cf.endpoint_plan(arc, cf.estimate_c0(arc), 1.0 / 6.0)]
-    grid = []
+    refs = [min(float(row_M(arc, plan, r).min())
+                for r in range(len(arc.params) - (1 if plan.kind == "exponential" else 2)))
+            for plan in plans]
+    holder = row_holder(arc, 0.75)
+    grids = {}  # the (margin, i, j) of each user thread's (M) scans
     original = repar.pairwise_min
 
     def recorded(block_fn, n_rows, **kw):
-        grid.append(original(block_fn, n_rows, **kw))
-        return grid[-1]
+        grids.setdefault(current_thread(), []).append(original(block_fn, n_rows, **kw))
+        return grids[current_thread()][-1]
 
     monkeypatch.setattr(repar, "pairwise_min", recorded)
-    with threads(k):
-        assert cf.holder_seminorm(arc, 0.75).holder_seminorm == row_holder(arc, 0.75)
-        reports = [cf.verify_M(arc, plan) for plan in plans]
-    for plan, (margin, i, j) in zip(plans, grid):
-        n_rows = len(arc.params) - (1 if plan.kind == "exponential" else 2)
-        ref = min(float(row_M(arc, plan, r).min()) for r in range(n_rows))
-        # a row product may round <T_i, P_j> differently in the last bit
-        assert margin == pytest.approx(ref, abs=1e-14)
-        assert row_M(arc, plan, i)[j - i - 1] == pytest.approx(margin, abs=1e-14)
-    with threads(1 if k > 1 else 3):
-        assert [cf.verify_M(arc, plan) for plan in plans] == reports
+    for rows in ROWS:
+        grids.clear()
+        with block_rows(rows):
+            reports = concurrently(k, lambda: (cf.holder_seminorm(arc, 0.75).holder_seminorm,
+                                               [cf.verify_M(arc, plan) for plan in plans]))
+        assert reports == [reports[0]] * k and reports[0][0] == holder
+        assert len(grids) == k
+        for grid in grids.values():
+            for plan, ref, (margin, i, j) in zip(plans, refs, grid, strict=True):
+                # a row product may round <T_i, P_j> differently in the last bit
+                assert margin == pytest.approx(ref, abs=1e-14)
+                assert row_M(arc, plan, i)[j - i - 1] == pytest.approx(margin, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -246,44 +269,30 @@ def test_large_scans_match_row_references(monkeypatch, k):
 def test_equal_slacks_across_blocks(k, n):
     # a block-periodic jet repeats every slack value in every row block, so
     # the minimum and the widest equality gap tie across blocks; k = None
-    # keeps the default, serial blocks of SMALL_BLOCK = 2 BLOCK rows
+    # keeps the default, blocks of SMALL_BLOCK = 2 BLOCK rows on the calling
+    # thread, and k = 1 and 3 run blocks of BLOCK rows on k user threads
     rng = np.random.default_rng(n)
     base = integer_jet(rng, _scan.BLOCK)
     reps = -(-n // _scan.BLOCK)
     jet = JetData(anchors=np.tile(base.anchors, (reps, 1))[:n],
                   values=np.tile(base.values, reps)[:n],
                   gradients=np.tile(base.gradients, (reps, 1))[:n])
-    with threads(k) if k else nullcontext():
+
+    def check():
         assert_C_exact(jet)
         assert_CW1_exact(jet, 1e-9)
-        rep = cf.check_CW1(jet)
-    assert rep.n_equality_pairs > 0  # duplicated anchors with equal values
+        return cf.check_CW1(jet)
 
-
-def test_threads_never_share_scratch():
-    # more threads than cores, switching every microsecond: a buffer shared by
-    # two threads would corrupt a block and change a result
-    arc = cf.make_circle_arc(1.4, 1000)
-    plan = cf.exponential_plan_with_rate(arc, 3.0)
-
-    def results():
-        return (cf.holder_seminorm(arc, 0.75), cf.check_strong(arc), cf.verify_M(arc, plan),
-                cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan), 1e-3))
-
-    with threads(1):
-        serial = results()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with threads(8):
-            for _ in range(3):
-                assert results() == serial
-    finally:
-        sys.setswitchinterval(interval)
+    if k is None:
+        reps = [check()]
+    else:
+        with block_rows(_scan.BLOCK):
+            reps = concurrently(k, check)
+    assert all(rep.n_equality_pairs > 0 for rep in reps)  # duplicated anchors with equal values
 
 
 # ---------------------------------------------------------------------------
-# the parallel engine
+# the serial engine
 
 def all_checks(arc):
     plan = cf.exponential_plan_with_rate(arc, 3.0)
@@ -295,74 +304,69 @@ def all_checks(arc):
             cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan), 1e-3))
 
 
-@pytest.mark.parametrize("n", [4129, 4999])
-def test_two_threads_match_the_default(monkeypatch, n):
-    # 4129 = 2 x 2048 + 33: the last row block and the last product chunk of
-    # a row are both short; both sizes are above the parallel floor
-    arc = cf.make_circle_arc(1.4, n)
-    monkeypatch.delenv("CONTRACTFLOW_THREADS", raising=False)
-    default = all_checks(arc)
-    monkeypatch.setenv("CONTRACTFLOW_THREADS", "2")
-    assert all_checks(arc) == default
-
-
-def test_default_thread_count_is_one(monkeypatch):
-    monkeypatch.delenv("CONTRACTFLOW_THREADS", raising=False)
-    assert _scan.thread_count() == 1
-    monkeypatch.setenv("CONTRACTFLOW_THREADS", "3")
-    assert _scan.thread_count() == 3
-    monkeypatch.setenv("CONTRACTFLOW_THREADS", "all")
-    assert _scan.thread_count() == 1
-
-
-def _helper_threads(monkeypatch):
-    """Counts the helper threads that scans start; the calling thread also works."""
-    started = []
-
-    class Recorded(Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(_scan, "Thread", Recorded)
-    return started
+def test_threads_never_share_scratch():
+    # user threads running checks at once, switching every microsecond: each
+    # carves from a slab of its own, and a slab shared by two of them would
+    # corrupt a block and change a result
+    arc = cf.make_circle_arc(1.4, 600)
+    interval = sys.getswitchinterval()
+    for rows in ROWS:
+        with block_rows(rows):
+            serial = all_checks(arc)
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(2):
+                    assert concurrently(4, lambda: all_checks(arc)) == [serial] * 4
+            finally:
+                sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n_rows", [1, _scan.BLOCK, 2 * _scan.BLOCK + 1, 1000])
-def test_at_most_one_worker_per_block(monkeypatch, n_rows):
-    started = _helper_threads(monkeypatch)
-    n_blocks = -(-n_rows // _scan.BLOCK)
-    with threads(8):
-        spans = _scan.map_blocks(lambda i0, i1: (i0, i1), n_rows, layers=0)
-    assert spans == [(i0, min(i0 + _scan.BLOCK, n_rows)) for i0 in range(0, n_rows, _scan.BLOCK)]
-    assert len(started) + 1 == min(8, n_blocks)
-    assert not any(thread.is_alive() for thread in started)
+def test_at_most_one_worker_per_block(n_rows):
+    # the calling thread runs every block, in order
+    with block_rows(_scan.BLOCK):
+        spans = _scan.map_blocks(lambda i0, i1: (i0, i1, get_ident()), n_rows, layers=0)
+    assert spans == [(i0, min(i0 + _scan.BLOCK, n_rows), get_ident())
+                     for i0 in range(0, n_rows, _scan.BLOCK)]
 
 
 def test_small_scans_stay_serial(monkeypatch):
-    # 2048 rows make 2^21 pairs j > i, the parallel floor
-    started = _helper_threads(monkeypatch)
-    monkeypatch.setenv("CONTRACTFLOW_THREADS", "3")
+    # small scans keep blocks of SMALL_BLOCK rows; 2048 rows make 2^21 pairs
+    # j > i, the size from which scans run in blocks of BLOCK rows
+    sizes = set()  # the heights of all but the last block of every scan
+    original = _scan.map_blocks
+
+    def recorded(fn, n_rows, **kw):
+        def block(i0, i1):
+            if i1 < n_rows:
+                sizes.add(i1 - i0)
+            return fn(i0, i1)
+        return original(block, n_rows, **kw)
+
+    monkeypatch.setattr(_scan, "map_blocks", recorded)
     cf.classify(cf.make_circle_arc(1.4, 2047), 2000)
-    assert started == []
+    assert sizes == {_scan.SMALL_BLOCK}
+    sizes.clear()
     cf.check_strong(cf.make_circle_arc(1.4, 2048))
-    assert len(started) == 2
+    assert sizes == {_scan.BLOCK}
 
 
 def test_a_failing_block_fails_the_scan():
     def block(i0, i1):
-        if i0 == 5 * _scan.BLOCK:
-            raise ValueError("block 5")
+        if i0 == 320:  # a block start at both block sizes
+            raise ValueError("row 320")
         return i0
 
-    for k in (1, 3):
-        with threads(k), pytest.raises(ValueError, match="block 5"):
-            _scan.map_blocks(block, 1000, layers=0)
+    for rows in ROWS:
+        with block_rows(rows), pytest.raises(ValueError, match="row 320"):
+            _scan.map_blocks(block, 1000, layers=1)
+        # the scan dropped its slab: scratch outside a scan is a fresh array
+        assert _scan.scratch((4,)).base is None
 
 
 def test_kernels_fit_in_their_slab(monkeypatch):
     # every scratch array of every kernel is carved from the slab that the
-    # scan's caller allocated; none is allocated by a worker thread
+    # scan allocated; none is allocated per block
     original = _scan.scratch
 
     def carved(shape, dtype=float):
@@ -374,8 +378,8 @@ def test_kernels_fit_in_their_slab(monkeypatch):
     for module in (_scan, contract, curve, repar, extend):
         monkeypatch.setattr(module, "scratch", carved)
     arc = cf.make_circle_arc(1.4, 300)
-    all_checks(arc)  # serial, in blocks of SMALL_BLOCK rows
-    with threads(3):
+    all_checks(arc)  # the default, blocks of SMALL_BLOCK rows
+    with block_rows(_scan.BLOCK):
         all_checks(arc)
         repar._check_zeta_hypothesis(arc, lambda t: np.full_like(t, 10.0))
 
@@ -409,30 +413,37 @@ def test_duplicate_anchors(k):
     anchors[100] = anchors[3]
     values[100] = values[3]
     dup = JetData(anchors=anchors, values=values, gradients=jet.gradients)
-    with threads(k):
-        assert_C_exact(dup)
-        assert_CW1_exact(dup, 1e-9)
+    for rows in ROWS:
+        with block_rows(rows):
+            concurrently(k, lambda: (assert_C_exact(dup), assert_CW1_exact(dup, 1e-9)))
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_constant_jet_counts_every_pair(k):
     n = 150
-    jet = JetData(anchors=np.zeros((n, 2)), values=np.zeros(n), gradients=np.zeros((n, 2)))
-    with threads(k):
-        rep = cf.check_CW1(jet)
-        c_rep = cf.check_C(jet)
-    assert rep.n_equality_pairs == n * (n - 1)
-    assert rep.witness == (0, 1, 0.0)
-    assert c_rep.witness == (0, 1, 0.0)
+
+    def check():
+        # a fresh jet: a jet remembers its scan
+        jet = JetData(anchors=np.zeros((n, 2)), values=np.zeros(n), gradients=np.zeros((n, 2)))
+        return cf.check_CW1(jet), cf.check_C(jet)
+
+    for rows in ROWS:
+        with block_rows(rows):
+            for rep, c_rep in concurrently(k, check):
+                assert rep.n_equality_pairs == n * (n - 1)
+                assert rep.witness == (0, 1, 0.0)
+                assert c_rep.witness == (0, 1, 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_holder_on_planted_ties(k, segment):
-    with threads(k):
-        sem = cf.holder_seminorm(segment, 1.0).holder_seminorm
-        assert sem == dense_holder(segment, 1.0)
-        arc = cf.make_circle_arc(1.0, 130)
-        assert cf.holder_seminorm(arc, 0.75).holder_seminorm == dense_holder(arc, 0.75)
+    arc = cf.make_circle_arc(1.0, 130)
+    refs = (dense_holder(segment, 1.0), dense_holder(arc, 0.75))
+    for rows in ROWS:
+        with block_rows(rows):
+            sems = concurrently(k, lambda: (cf.holder_seminorm(segment, 1.0).holder_seminorm,
+                                            cf.holder_seminorm(arc, 0.75).holder_seminorm))
+        assert sems == [refs] * k
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +523,8 @@ def _peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def test_scans_hold_no_n_by_n_array(monkeypatch):
+def test_scans_hold_no_n_by_n_array():
     # one 3000 x 3000 float64 array is 72 MB; a 32-row block is 0.77 MB
-    monkeypatch.setenv("CONTRACTFLOW_THREADS", "1")
     arc = cf.make_circle_arc(1.4, 3000)
     plan = cf.exponential_plan_with_rate(arc, 3.0)
     assert _peak_mb(cf.holder_seminorm, arc, 1.0) < 32.0
