@@ -13,11 +13,13 @@ are combined in block order. The block products go through
 ``block_product``, CHUNK columns at a time, which the BLAS runs on the
 calling thread, so that no report depends on the BLAS thread count.
 
-A block carves its working arrays with ``scratch`` out of one slab, sized
-for the scan's kernel, that ``map_blocks`` allocates for the scan; the
-kernels write into them with ``out=`` and in-place ufuncs, so no block
-allocates an array of its own size. The slab hangs on a thread-local, so
-user threads that run checks at the same time never share one.
+A block carves its working arrays with ``scratch`` out of one slab that
+``map_blocks`` holds for the scan and sizes from what the blocks ask for:
+after the first block, which gets fresh arrays, the slab fits the kernel
+exactly. The kernels write into these arrays with ``out=`` and in-place
+ufuncs, so no later block allocates an array of its own size. The slab
+hangs on a thread-local, so user threads that run checks at the same time
+never share one.
 """
 
 from __future__ import annotations
@@ -39,42 +41,46 @@ def scratch(shape, dtype=float) -> np.ndarray:
     """An uninitialized ``shape`` array, valid until this thread's next block.
 
     Inside ``map_blocks`` it is carved from the scan's slab, which each
-    block carves again from its start; a request the slab has no room left
-    for, and any request outside a scan, gets a fresh array.
+    block carves again from its start. Every request adds its 64-byte
+    aligned size to what the block asked for, whether it fits or not; one
+    the slab has no room left for, and any request outside a scan, gets a
+    fresh array.
     """
-    dtype = np.dtype(dtype)
     slab = getattr(_local, "slab", None)  # uint8
-    nbytes = math.prod(shape) * dtype.itemsize
-    if slab is None or _local.used + nbytes > slab.size:
-        return np.empty(shape, dtype)
-    start = _local.used
-    _local.used += -(-nbytes // 64) * 64  # keep every array 64-byte aligned in the slab
-    return slab[start:start + nbytes].view(dtype).reshape(shape)
+    if slab is not None:
+        start, size = _local.used, math.prod(shape)
+        _local.used += -(-size * np.dtype(dtype).itemsize // 64) * 64  # 64-byte aligned
+        if _local.used <= slab.size:
+            return slab[start:_local.used].view(dtype)[:size].reshape(shape)
+    return np.empty(shape, dtype)
 
 
-def map_blocks(fn, n_rows: int, *, layers: float) -> list:
+def map_blocks(fn, n_rows: int) -> list:
     """``fn(i0, i1)`` on every block of rows in order, the results in a list.
 
     A scan of LARGE_PAIRS pairs or more (n_rows^2 / 2, an upper triangle)
     runs blocks of BLOCK rows, a smaller one blocks of SMALL_BLOCK rows.
-    ``fn`` declares the ``layers`` its block carves with ``scratch``, in
-    float64 arrays of rows x (n_rows + 1) (a bool array is 1/8 of a layer);
-    the scan allocates a slab of that size and drops it when it returns or
-    raises. ``layers`` has no default, so that no kernel falls back to
-    allocating per block unseen.
+    The scan starts with an empty slab, so its first block gets fresh
+    arrays from ``scratch``; before each later block the slab is replaced
+    by one of the size the previous block asked for, if that was more. The
+    first block of an upper-triangle scan is its widest, so the slab is
+    sized once, and a kernel whose demand grows later resizes it then. The
+    slab is dropped when the scan returns or raises.
     """
     rows = BLOCK if n_rows * n_rows >= 2 * LARGE_PAIRS else SMALL_BLOCK
-    # each scratch array starts 64-byte aligned, so a layer may need 63 bytes more
-    slab_bytes = math.ceil(layers * rows * (n_rows + 1) * 8) + math.ceil(layers) * 64
-    _local.slab = np.empty(slab_bytes, np.uint8)
-    results = []
+
+    def block(i0):
+        if _local.used > _local.slab.size:
+            del _local.slab  # free the smaller slab before the larger one is allocated
+            _local.slab = np.empty(_local.used, np.uint8)
+        _local.used = 0
+        return fn(i0, min(i0 + rows, n_rows))
+
+    _local.slab, _local.used = np.empty(0, np.uint8), 0
     try:
-        for i0 in range(0, n_rows, rows):
-            _local.used = 0
-            results.append(fn(i0, min(i0 + rows, n_rows)))
+        return [block(i0) for i0 in range(0, n_rows, rows)]
     finally:
         del _local.slab
-    return results
 
 
 def block_argmin(vals: np.ndarray, i0: int, j0: int = 0) -> tuple:
@@ -86,7 +92,7 @@ def block_argmin(vals: np.ndarray, i0: int, j0: int = 0) -> tuple:
     return float(vals[r, c]), i0 + r, j0 + c
 
 
-def pairwise_min(block_fn, n_rows: int, *, layers: float):
+def pairwise_min(block_fn, n_rows: int):
     """Minimize block_fn over row blocks.
 
     ``block_fn(i0, i1)`` returns the upper-triangle block: a (i1 - i0, n - i0)
@@ -94,7 +100,7 @@ def pairwise_min(block_fn, n_rows: int, *, layers: float):
     pairs. Returns ``(min_value, i, j)`` with the lexicographically first
     witness among ties: the builtin min of the per-block tuples. A block_fn
     that returns a (k, i1 - i0, n - i0) stack reduces k quantities in one pass
-    and gets a list of k such triples. ``layers`` is as in ``map_blocks``.
+    and gets a list of k such triples.
     """
     def reduce(i0, i1):
         vals = block_fn(i0, i1)
@@ -102,7 +108,7 @@ def pairwise_min(block_fn, n_rows: int, *, layers: float):
             return block_argmin(vals, i0, i0)
         return [block_argmin(layer, i0, i0) for layer in vals]
 
-    results = map_blocks(reduce, n_rows, layers=layers)
+    results = map_blocks(reduce, n_rows)
     if isinstance(results[0], list):
         return [min(layer) for layer in zip(*results)]
     return min(results)

@@ -79,7 +79,7 @@ def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
         ip = tangent_chord(curve, i0, i1)
         return mask_lower(np.divide(ip, pair_gaps(t, i0, i1), out=ip))
 
-    qmin, i, j = pairwise_min(block, len(t), layers=2)
+    qmin, i, j = pairwise_min(block, len(t))
     worst = (float(t[i]), float(t[j]), qmin)
     if qmin > tol:
         level = ContractLevel.STRONGLY
@@ -325,7 +325,7 @@ def _taylor_scan(curve: Curve, bounds: list) -> list:
         return out
 
     results = []
-    scans = pairwise_min(block, len(t), layers=2 + len(bounds))
+    scans = pairwise_min(block, len(t))
     for (constant, power), (worst, i, j) in zip(bounds, scans):
         gap = t[j] - t[i]
         lhs = float(T[i] @ (P[j] - P[i]))

@@ -164,15 +164,6 @@ class Curve:
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def point_at(curve: Curve, t: float) -> np.ndarray:
-    return curve.point_at(t)
-
-
-def tangent_at(curve: Curve, t: float) -> np.ndarray:
-    """Unit tangent at arc length t (exact for analytic curves)."""
-    return curve.tangent_at(t)
-
-
 @dataclass(frozen=True)
 class RegularityEstimate:
     """Hoelder data of the tangent field and the derived Taylor constant.
@@ -433,7 +424,7 @@ def holder_seminorm(curve: Curve, alpha: float,
         dist /= gaps
         return float(mask_lower(dist, -np.inf).max())
 
-    sem = safety_factor * max(map_blocks(block_max, len(t) - 1, layers=3))
+    sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
     c1 = sem * sem / (2.0 * (2.0 * alpha + 1.0))
     return RegularityEstimate(alpha=alpha, holder_seminorm=sem, c1=c1,
                               safety_factor=safety_factor)
@@ -478,6 +469,14 @@ def third_deriv_bound(curve: Curve, safety_factor: float = 1.25) -> ThirdDerivat
 # ---------------------------------------------------------------------------
 # import/export
 
+def require_finite(what: str, **fields) -> None:
+    """ValueError naming the first of ``fields`` that holds a NaN or an infinity."""
+    for name, values in fields.items():
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
+        if len(bad):
+            raise ValueError(f"{what}: {name} is not finite at sample {bad[0, 0]}")
+
+
 def save_csv(curve: Curve, path) -> None:
     """One row per sample: t, x_1..x_n, tx_1..tx_n."""
     d = curve.dim
@@ -492,8 +491,9 @@ def load_csv(path) -> Curve:
     skip = 1 if first.lstrip().startswith("t") else 0
     data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     d = (data.shape[1] - 1) // 2
-    return Curve(params=data[:, 0], points=data[:, 1:1 + d],
-                 tangents=data[:, 1 + d:1 + 2 * d], source="sampled")
+    params, points, tangents = data[:, 0], data[:, 1:1 + d], data[:, 1 + d:1 + 2 * d]
+    require_finite("curve file", t=params, x=points, tx=tangents)
+    return Curve(params=params, points=points, tangents=tangents, source="sampled")
 
 
 def to_json_dict(curve: Curve, alpha: float | None = None) -> dict:
@@ -516,6 +516,7 @@ def from_json_dict(doc: dict) -> Curve:
                                     for key in ("params", "points", "tangents"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed curve document: {exc!r}") from None
+    require_finite("curve document", params=params, points=points, tangents=tangents)
     return Curve(params=params, points=points, tangents=tangents,
                  source=doc.get("source", "sampled"))
 

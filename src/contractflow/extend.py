@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scan import LOWER, block_argmin, block_product, map_blocks, scratch
-from .curve import Curve
+from .curve import Curve, require_finite
 from .errors import ConditionCFailed
 from .repar import ReparamPlan
 
@@ -116,8 +116,7 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
                     widest = (-float(gaps[w]), i0 + int(r[w]), int(c[w]))
             return least, step1, step2, n_hits, widest
 
-        # cross and slack, and the band's bool hits
-        least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f), layers=2.125))
+        least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f)))
         jet._scans[tol] = (min(least), float(min(step1)), float(min(step2)),
                            sum(n_equal), min(widest))
     return jet._scans[tol]
@@ -218,8 +217,9 @@ def extension_from_json_dict(doc: dict) -> ConvexExtension:
     if (anchors.ndim != 2 or gradients.shape != anchors.shape
             or values.shape != anchors.shape[:1]):
         raise ValueError("extension anchors, values and gradients disagree in shape")
-    if not eps >= 0.0:
-        raise ValueError("extension eps must be nonnegative")
+    require_finite("extension", anchors=anchors, values=values, gradients=gradients)
+    if not 0.0 <= eps < np.inf:
+        raise ValueError("extension eps must be finite and nonnegative")
     return ConvexExtension(anchors=anchors, values=values, gradients=gradients,
                            smoothing_eps=eps)
 

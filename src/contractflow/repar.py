@@ -245,7 +245,7 @@ def _check_zeta_hypothesis(curve: Curve, zeta) -> None:
         ip -= bound
         return mask_lower(ip)
 
-    worst, i, j = pairwise_min(block, len(t), layers=3)
+    worst, i, j = pairwise_min(block, len(t))
     if worst < -1e-9:
         raise HypothesisViolated(
             f"zeta bound fails by {worst:.3g} at (t, s) = ({t[i]:.6g}, {t[j]:.6g})")
@@ -395,7 +395,7 @@ def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:
             ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=scratch(ip.shape))
         return mask_lower(ip)
 
-    margin, i, j = pairwise_min(block, max(jmax - 1, 1), layers=2)
+    margin, i, j = pairwise_min(block, max(jmax - 1, 1))
     t0, s0 = float(t[i]), float(t[j])
     worst = (t0, s0)
 

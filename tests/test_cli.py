@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -341,6 +342,15 @@ class TestCurveInput:
                               "be strictly increasing\n")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_non_finite_coordinate_fails_curve_stage(self, runner, tmp_path):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("t,x1,x2,tx1,tx2\n0,0,0,1,0\n0.5,nan,0,1,0\n1,1,0,1,0\n")
+        res = runner.invoke(main, ["run", "--input", str(csv)])
+        assert res.exit_code == 2
+        stage = json.loads(res.stdout)["stages"][-1]
+        assert stage["name"] == "curve" and not stage["passed"]
+        assert stage["data"]["error"] == "curve file: x is not finite at sample 1"
+
     def test_curve_json_without_points_fails_curve_stage(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"params": [0.0, 1.0, 2.0]}))
@@ -363,6 +373,10 @@ def _flow(runner, ext, *args):
                                 "-o", str(ext.with_suffix(".csv"))])
 
 
+# one affine piece f(x) = -x_1
+RAMP = {"anchors": [[0.0, 0.0]], "values": [0.0], "gradients": [[-1.0, 0.0]], "eps": 0.1}
+
+
 class TestOutsideInput:
     @pytest.mark.parametrize("t_end,dt", [("1", "nan"), ("inf", "inf"), ("1", "0"),
                                           ("nan", "0.1"), ("-1", "0.1")])
@@ -380,15 +394,18 @@ class TestOutsideInput:
     def test_flow_blow_up_exits_6(self, runner, tmp_path):
         # one affine piece f(x) = -x_1: the flow runs off at unit speed
         path = tmp_path / "ramp.json"
-        path.write_text(json.dumps({"anchors": [[0.0, 0.0]], "values": [0.0],
-                                    "gradients": [[-1.0, 0.0]], "eps": 0.1}))
+        path.write_text(json.dumps(RAMP))
         res = _flow(runner, path, "--x0", "0,0", "--t-end", "1e7", "--dt", "1e5")
         assert res.exit_code == 6
         assert res.stderr.startswith("flow failed: state norm")
 
     @pytest.mark.parametrize("doc", [{"values": [0.0]}, [1, 2],
                                      {"anchors": [0.0], "values": [0.0],
-                                      "gradients": [0.0], "eps": 0.1}])
+                                      "gradients": [0.0], "eps": 0.1},
+                                     dict(RAMP, values=[math.nan]),
+                                     dict(RAMP, anchors=[[0.0, math.inf]]),
+                                     dict(RAMP, gradients=[[-math.inf, 0.0]]),
+                                     dict(RAMP, eps=math.inf)])
     def test_malformed_extension_exits_2(self, runner, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -398,6 +415,7 @@ class TestOutsideInput:
             res = runner.invoke(main, args)
             assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
             assert res.stderr.startswith(f"cannot read extension {path}")
+            assert len(res.stderr.splitlines()) == 1  # no NumPy warning either
 
 
 # ---------------------------------------------------------------------------

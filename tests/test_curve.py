@@ -253,6 +253,33 @@ class TestIO:
         back = cf.curve.load_json(path)
         np.testing.assert_array_equal(back.points, segment.points)
 
+    @pytest.mark.parametrize("column,field", [(0, "t"), (2, "x"), (3, "tx")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_csv_rejects_non_finite_numbers(self, tmp_path, quarter_circle, column, field, value):
+        data = np.column_stack([quarter_circle.params, quarter_circle.points,
+                                quarter_circle.tangents])
+        data[5, column] = value
+        path = tmp_path / "c.csv"
+        np.savetxt(path, data, delimiter=",", header="t,x1,x2,tx1,tx2", comments="")
+        with pytest.raises(ValueError, match=f"^curve file: {field} is not finite at sample 5$"):
+            cf.curve.load_csv(path)
+
+    @pytest.mark.parametrize("field", ["params", "points", "tangents"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, None])
+    def test_json_rejects_non_finite_numbers(self, quarter_circle, field, value):
+        doc = cf.curve.to_json_dict(quarter_circle)
+        if field == "params":
+            doc[field][7] = value
+        else:
+            doc[field][7][1] = value
+        with pytest.raises(ValueError, match=f"^curve document: {field} is not finite at sample 7$"):
+            cf.curve.from_json_dict(doc)
+
+    def test_json_rejects_a_non_finite_scalar(self, quarter_circle):
+        doc = dict(cf.curve.to_json_dict(quarter_circle), params=math.nan)
+        with pytest.raises(ValueError, match="^curve document: params is not finite at sample 0$"):
+            cf.curve.from_json_dict(doc)
+
     def test_loaded_curve_supports_evaluation(self, tmp_path, quarter_circle):
         path = tmp_path / "c.csv"
         cf.curve.save_csv(quarter_circle, path)

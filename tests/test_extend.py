@@ -251,6 +251,19 @@ class TestExtensionInvariants:
                   / np.linalg.norm(xs - ys, axis=1))
         assert ratios.max() <= 1.01 * k_theory
 
+    @pytest.mark.parametrize("field", ["anchors", "values", "gradients", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_serialized_non_finite_numbers_are_rejected(self, circle_jet, field, value):
+        doc = cf.build_extension(circle_jet, smoothing_eps=1e-3).to_json_dict()
+        if field == "eps":
+            doc[field] = value
+        elif field == "values":
+            doc[field][4] = value
+        else:
+            doc[field][4][0] = value
+        with pytest.raises(ValueError, match=f"^extension:? {field}"):
+            cf.extend.extension_from_json_dict(doc)
+
     def test_serialization_roundtrip(self, circle_jet):
         ext = cf.build_extension(circle_jet, smoothing_eps=1e-3)
         doc = ext.to_json_dict()

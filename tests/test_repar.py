@@ -251,7 +251,7 @@ def _scalar_refinement_verify_M(curve, plan):
             ip -= plan.lhs_M(t[i0:i1, None], t[None, i0:jmax], out=np.empty(ip.shape))
         return mask_lower(ip)
 
-    margin, i, j = pairwise_min(block, max(jmax - 1, 1), layers=2)
+    margin, i, j = pairwise_min(block, max(jmax - 1, 1))
     t0, s0 = float(t[i]), float(t[j])
     worst = (t0, s0)
     step_t = float(t[min(i + 1, n - 1)] - t[max(i - 1, 0)]) / 2.0

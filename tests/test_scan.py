@@ -325,7 +325,7 @@ def test_threads_never_share_scratch():
 def test_at_most_one_worker_per_block(n_rows):
     # the calling thread runs every block, in order
     with block_rows(_scan.BLOCK):
-        spans = _scan.map_blocks(lambda i0, i1: (i0, i1, get_ident()), n_rows, layers=0)
+        spans = _scan.map_blocks(lambda i0, i1: (i0, i1, get_ident()), n_rows)
     assert spans == [(i0, min(i0 + _scan.BLOCK, n_rows), get_ident())
                      for i0 in range(0, n_rows, _scan.BLOCK)]
 
@@ -359,29 +359,96 @@ def test_a_failing_block_fails_the_scan():
 
     for rows in ROWS:
         with block_rows(rows), pytest.raises(ValueError, match="row 320"):
-            _scan.map_blocks(block, 1000, layers=1)
+            _scan.map_blocks(block, 1000)
         # the scan dropped its slab: scratch outside a scan is a fresh array
         assert _scan.scratch((4,)).base is None
 
 
-def test_kernels_fit_in_their_slab(monkeypatch):
-    # every scratch array of every kernel is carved from the slab that the
-    # scan allocated; none is allocated per block
-    original = _scan.scratch
+def test_kernels_carve_from_their_slab_after_the_first_block(monkeypatch):
+    # the first block of a scan gets fresh arrays and sizes the slab; from
+    # the second block on, every scratch array of every kernel is a view of
+    # that slab, so none is allocated per block
+    blocks = []  # the index of the running block of each scan, in scan order
+    carved = set()  # the scans that carved from their slab
+    original_map, original_scratch = _scan.map_blocks, _scan.scratch
 
-    def carved(shape, dtype=float):
-        used = _scan._local.used
-        out = original(shape, dtype)
-        assert _scan._local.used > used, f"a scratch array of shape {shape} is not in the slab"
+    def counted(fn, n_rows):
+        scan = len(blocks)
+        blocks.append(-1)
+
+        def block(i0, i1):
+            blocks[scan] += 1
+            return fn(i0, i1)
+        return original_map(block, n_rows)
+
+    def checked(shape, dtype=float):
+        out = original_scratch(shape, dtype)
+        scan = len(blocks) - 1
+        if blocks[scan] >= 1:
+            assert np.shares_memory(out, _scan._local.slab), (
+                f"scan {scan}, block {blocks[scan] + 1}: a scratch array of shape {shape} "
+                "is not in the slab")
+            carved.add(scan)
         return out
 
+    for module in (_scan, curve, extend):
+        monkeypatch.setattr(module, "map_blocks", counted)
     for module in (_scan, contract, curve, repar, extend):
-        monkeypatch.setattr(module, "scratch", carved)
+        monkeypatch.setattr(module, "scratch", checked)
     arc = cf.make_circle_arc(1.4, 300)
-    all_checks(arc)  # the default, blocks of SMALL_BLOCK rows
-    with block_rows(_scan.BLOCK):
-        all_checks(arc)
-        repar._check_zeta_hypothesis(arc, lambda t: np.full_like(t, 10.0))
+    for rows in ROWS:
+        blocks.clear()
+        carved.clear()
+        with block_rows(rows):
+            all_checks(arc)
+            repar._check_zeta_hypothesis(arc, lambda t: np.full_like(t, 10.0))
+        # check_strong (twice, once for estimate_c0), the Hoelder scan (twice),
+        # verify_M (two plans), the Taylor scan, (C), (CW1) and the zeta
+        # hypothesis: 10 scans of 300 rows, 5 or more blocks each
+        assert len(blocks) == 10 and min(blocks) >= 4
+        assert carved == set(range(len(blocks)))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_slab_grows_with_a_later_block(rows):
+    # blocks 1 and 2 carve two arrays and block 3 a third one, which the slab
+    # has no room for; block 4 on carve all three from a larger slab, which
+    # is allocated after the smaller one is freed. Each array is filled
+    # before the next is carved, so arrays that overlapped would change the
+    # sums against the fresh arrays of a slab-free run
+    n_rows = 6 * rows
+
+    def compute(i0, i1):
+        shape = (i1 - i0, 2000)
+        a = _scan.scratch(shape)
+        a[:] = np.arange(i0, i1)[:, None]
+        arrays = [a, np.multiply(a, 2.0, out=_scan.scratch(shape))]
+        if i0 >= 2 * rows:
+            arrays.append(np.greater(arrays[1], i0 + 1, out=_scan.scratch(shape, bool)))
+        return [float(x.sum()) for x in arrays], arrays
+
+    seen = []  # (slab size, which arrays are views of the slab) per block
+
+    def block(i0, i1):
+        sums, arrays = compute(i0, i1)
+        seen.append((_scan._local.slab.size,
+                     [np.shares_memory(x, _scan._local.slab) for x in arrays]))
+        return sums
+
+    tracemalloc.start()
+    try:
+        with block_rows(rows):
+            sums = _scan.map_blocks(block, n_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums == [compute(i0, i0 + rows)[0] for i0 in range(0, n_rows, rows)]
+    sizes, views = zip(*seen)
+    assert sizes[0] == 0 and views[0] == [False, False]
+    assert sizes[1] == sizes[2] > 0 and views[1] == [True, True] and views[2] == [True, True, False]
+    assert min(sizes[3:]) == max(sizes[3:]) > sizes[2]
+    assert all(view == [True] * 3 for view in views[3:])
+    assert peak < 1.25 * sizes[-1]  # the two slabs never coexist
 
 
 def test_block_products_stay_on_the_calling_thread():
