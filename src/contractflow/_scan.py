@@ -1,11 +1,13 @@
 """Row-block pair scans: one engine for every O(N^2) check.
 
-Every pair reduction (the strong-contraction product, the Hoelder seminorm,
-the Taylor bounds, the (M)-inequality, the zeta hypothesis and the (C)/(CW1)
-slacks) visits rows in blocks, one after another on the calling thread:
-BLOCK = 32 rows in a scan of at least LARGE_PAIRS pairs, SMALL_BLOCK = 64
-rows below that size, where the fixed cost of each numpy call matters more
+Every pair reduction (the strong-contraction product, the Hoelder seminorm
+for alpha < 1, the Taylor bounds, the (M)-inequality, the zeta hypothesis and
+the (C)/(CW1) slacks) visits rows in blocks, one after another on the calling
+thread: BLOCK = 32 rows in a scan of at least LARGE_PAIRS pairs, SMALL_BLOCK =
+64 rows below that size, where the fixed cost of each numpy call matters more
 than cache reuse. A scan thus holds O(64 x N) memory, never an N x N array.
+At alpha = 1 the Hoelder seminorm needs no scan: ``curve.holder_seminorm``
+takes it from the N - 1 adjacent pairs.
 The reductions over pairs j > i alone read only the upper triangle: a block
 of rows i0:i1 has the columns j >= i0, about half the pairs of a full row
 block. The (C)/(CW1) slacks are not symmetric and read every column. Results

@@ -69,9 +69,14 @@ class PipelineConfig:
             raise ConfigError("eps must be nonnegative")
 
 
+def _is_json(path) -> bool:
+    """A curve file whose name ends in .json holds the JSON form, any other CSV."""
+    return str(path).endswith(".json")
+
+
 def build_curve(cfg: PipelineConfig) -> curve_mod.Curve:
     if cfg.input_path is not None:
-        if str(cfg.input_path).endswith(".json"):
+        if _is_json(cfg.input_path):
             return curve_mod.load_json(cfg.input_path)
         return curve_mod.load_csv(cfg.input_path)
     if cfg.generator == "segment":
@@ -370,9 +375,10 @@ def main():
 @click.option("--json-out", type=click.Path(),
               help="Also write the JSON form.")
 def gen(output, json_out, **kwargs):
-    """Generate a curve and write it as CSV (and optionally JSON)."""
+    """Generate a curve and write it: JSON to a .json name, else CSV (and optionally JSON)."""
     crv = _result(run_pipeline(_cfg(kwargs), stop_after="curve"), "curve")
-    _write_file(output, lambda p: curve_mod.save_csv(crv, p))
+    save = curve_mod.save_json if _is_json(output) else curve_mod.save_csv
+    _write_file(output, lambda p: save(crv, p))
     if json_out:
         _write_file(json_out, lambda p: curve_mod.save_json(crv, p))
     click.echo(f"wrote {output} ({crv.n_samples} samples, L={crv.length:.6g})")

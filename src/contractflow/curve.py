@@ -400,6 +400,15 @@ def holder_seminorm(curve: Curve, alpha: float,
     The seminorm is the safety-inflated max over sample pairs of
     ||gamma'(t_i) - gamma'(t_j)|| / (t_j - t_i)^alpha; the Taylor constant is
     c1 = seminorm^2 / (2 (2 alpha + 1)).
+
+    At alpha = 1 the adjacent pairs hold the maximum: with K the largest
+    adjacent quotient, the triangle inequality gives
+    ||T_j - T_i|| <= sum_{i <= k < j} ||T_{k+1} - T_k|| <= K (t_j - t_i), so
+    the N - 1 adjacent quotients are taken in one pass, each by the float
+    operations of the pair scan (where the quotients agree to a few ulps, a
+    longer pair may round an ulp above K). Below 1 the bound fails (on a
+    circle arc the quotient 2 sin(g/2) / g^alpha grows with the gap g), and
+    every pair is scanned.
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError("alpha must lie in (1/2, 1]")
@@ -419,12 +428,20 @@ def holder_seminorm(curve: Curve, alpha: float,
                 diff *= diff
                 dist += diff
         np.sqrt(dist, out=dist)
-        if alpha != 1.0:
-            np.power(gaps, alpha, out=gaps)
+        np.power(gaps, alpha, out=gaps)
         dist /= gaps
         return float(mask_lower(dist, -np.inf).max())
 
-    sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
+    if alpha == 1.0:
+        diff = T[1:] - T[:-1]
+        dist = diff[:, 0] * diff[:, 0]
+        for k in range(1, T.shape[1]):
+            dist += diff[:, k] * diff[:, k]
+        np.sqrt(dist, out=dist)
+        dist /= t[1:] - t[:-1]
+        sem = safety_factor * float(dist.max())
+    else:
+        sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
     c1 = sem * sem / (2.0 * (2.0 * alpha + 1.0))
     return RegularityEstimate(alpha=alpha, holder_seminorm=sem, c1=c1,
                               safety_factor=safety_factor)

@@ -118,6 +118,15 @@ class TestGenCheck:
         assert doc["dim"] == 2
         assert doc["L"] == pytest.approx(np.pi / 2)
 
+    def test_gen_json_name_round_trips_through_check(self, runner, tmp_path):
+        js = tmp_path / "c.json"
+        res = runner.invoke(main, ["gen", "--gen", "circle", "--n", "50", "-o", str(js)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(js.read_text())["dim"] == 2
+        res = runner.invoke(main, ["check", "--input", str(js), "--n-triples", "5000"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["level"] == "uniformly_strongly"
+
     def test_missing_output_dir_surfaced(self, runner, tmp_path):
         bad = tmp_path / "missing" / "out.csv"
         res = runner.invoke(main, ["gen", "--gen", "segment", "-o", str(bad)])

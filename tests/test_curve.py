@@ -150,6 +150,19 @@ class TestHolderSeminorm:
         with pytest.raises(ValueError):
             cf.holder_seminorm(segment, 0.4)
 
+    def test_alpha_below_one_peaks_at_a_non_adjacent_pair(self):
+        # on a unit arc the quotient 2 sin(g/2) / g^0.75 grows with the gap g
+        # up to g ~ 1.7, so the whole arc beats every adjacent pair and the
+        # adjacent shortcut of alpha = 1 would be wrong here
+        crv = cf.make_circle_arc(1.4, 200)
+        t, T = crv.params, crv.tangents
+        adjacent = np.linalg.norm(np.diff(T, axis=0), axis=1) / np.diff(t) ** 0.75
+        ends = np.linalg.norm(T[-1] - T[0]) / t[-1] ** 0.75
+        sem = cf.holder_seminorm(crv, 0.75, safety_factor=1.0).holder_seminorm
+        assert sem == pytest.approx(ends, rel=1e-12)
+        assert sem == pytest.approx(2.0 * np.sin(0.7) / 1.4 ** 0.75, rel=1e-12)
+        assert sem > 1.5 * adjacent.max()
+
     def test_monotone_in_alpha(self):
         # gaps <= 1 so h^alpha >= h: lowering alpha divides by a larger power,
         # hence the seminorm is nondecreasing in alpha

@@ -66,6 +66,51 @@ def test_holder_seminorm_alpha_ordering(a1, a2):
     assert s_lo <= s_hi * (1 + 1e-12)
 
 
+def all_pairs_holder(t, T):
+    """Largest ||T_j - T_i|| / (t_j - t_i) over all pairs i < j, by the scan's float operations."""
+    i, j = np.triu_indices(len(t), k=1)
+    diff = T[j] - T[i]
+    dist = diff[:, 0] * diff[:, 0]
+    dist += diff[:, 1] * diff[:, 1]
+    return float((np.sqrt(dist) / (t[j] - t[i])).max())
+
+
+def turning_angle(shape, t, kappas, fracs):
+    """psi(t) of an arc chain, a spiral, a segment or a straight stretch then a turn."""
+    L = t[-1]
+    if shape == "segment":
+        return np.zeros_like(t)
+    if shape == "spiral":  # curvature kappa / (1 + 5 t), falling along the curve
+        return kappas[0] / 5.0 * np.log1p(5.0 * t)
+    if shape == "turn":  # constant tangent up to t0, then an arc
+        return kappas[0] * np.maximum(t - fracs[0] * L, 0.0)
+    breaks = np.append(np.concatenate([[0.0], np.sort(fracs) * L])[:len(kappas)], np.inf)
+    return sum(k * np.clip(t - b0, 0.0, b1 - b0)
+               for k, b0, b1 in zip(kappas, breaks[:-1], breaks[1:]))
+
+
+# curvatures of size at least 0.1 and gaps within a factor 20 of each other, so
+# that the margin by which a longer pair loses is far above the rounding
+@given(st.sampled_from(["arc chain", "spiral", "segment", "turn"]),
+       st.lists(st.floats(min_value=0.05, max_value=1.0, **FINITE), min_size=1, max_size=150),
+       st.floats(min_value=0.5, max_value=4.0, **FINITE),
+       st.lists(st.floats(min_value=0.1, max_value=3.0, **FINITE).flatmap(
+           lambda k: st.sampled_from([k, -k])), min_size=1, max_size=4),
+       st.lists(st.floats(min_value=0.0, max_value=1.0, **FINITE), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_holder_seminorm_at_alpha_one_is_the_all_pairs_max(shape, gaps, length, kappas, fracs):
+    # non-uniform grid: t_0 = 0, then the drawn gaps scaled to the length
+    t = np.concatenate([[0.0], np.cumsum(gaps)]) * (length / sum(gaps))
+    psi = turning_angle(shape, t, kappas, fracs)
+    T = np.column_stack([np.cos(psi), np.sin(psi)])
+    P = np.concatenate([[[0.0, 0.0]], np.cumsum(T[:-1] * np.diff(t)[:, None], axis=0)])
+    crv = cf.Curve(params=t, points=P, tangents=T, source="sampled")
+    sem = cf.holder_seminorm(crv, 1.0, safety_factor=1.0).holder_seminorm
+    assert sem == all_pairs_holder(t, T)
+    if shape == "segment":
+        assert sem == 0.0
+
+
 @given(st.floats(min_value=-math.pi, max_value=math.pi, **FINITE),
        st.floats(min_value=-5.0, max_value=5.0, **FINITE),
        st.floats(min_value=-5.0, max_value=5.0, **FINITE))
