@@ -97,7 +97,6 @@ def _build_plan(cfg: PipelineConfig, crv, c0: float):
     if cfg.plan_kind == "exp":
         return repar.exponential_plan(crv, reg, c0), reg
     tdb = curve_mod.third_deriv_bound(crv, cfg.safety)
-    reg = reg.with_third_deriv(tdb.bound)
     if cfg.plan_kind == "endpoint":
         return repar.endpoint_plan(crv, c0, tdb.c1_cubic), reg
     return repar.zeta_plan(crv, c0, tdb.zeta), reg
@@ -372,15 +371,11 @@ def main():
 @main.command()
 @_curve_options
 @click.option("-o", "--output", required=True, type=click.Path())
-@click.option("--json-out", type=click.Path(),
-              help="Also write the JSON form.")
-def gen(output, json_out, **kwargs):
-    """Generate a curve and write it: JSON to a .json name, else CSV (and optionally JSON)."""
+def gen(output, **kwargs):
+    """Generate a curve and write it: JSON to a .json name, else CSV."""
     crv = _result(run_pipeline(_cfg(kwargs), stop_after="curve"), "curve")
     save = curve_mod.save_json if _is_json(output) else curve_mod.save_csv
     _write_file(output, lambda p: save(crv, p))
-    if json_out:
-        _write_file(json_out, lambda p: curve_mod.save_json(crv, p))
     click.echo(f"wrote {output} ({crv.n_samples} samples, L={crv.length:.6g})")
 
 

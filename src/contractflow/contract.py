@@ -19,6 +19,7 @@ from .curve import Curve, RegularityEstimate
 from .errors import BoundViolated, NotStronglyContracted
 
 STRICT_TOL = 1e-9
+DEFLATION = 0.9  # c0 is this share of the grid minimum of the normalized products
 N_STRATA = 8  # span strata of the metric check
 TABLE_TRIPLES = 100_000  # most triples the metric check scores from a chord table
 
@@ -66,11 +67,12 @@ class ContractReport:
         }
 
 
-def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
+def check_strong(curve: Curve) -> ContractReport:
     """Differential pairwise check: strictly positive inner products.
 
-    Strongly self-contracted iff <T_i, P_j - P_i> > tol * (t_j - t_i) for all
-    grid pairs i < j; a value below -tol * gap disproves self-contractedness.
+    Strongly self-contracted iff <T_i, P_j - P_i> > STRICT_TOL * (t_j - t_i)
+    for all grid pairs i < j; a value below -STRICT_TOL * gap disproves
+    self-contractedness.
     The worst pair minimizes <T_i, P_j - P_i> / (t_j - t_i).
     """
     t = curve.params
@@ -81,34 +83,35 @@ def check_strong(curve: Curve, tol: float = STRICT_TOL) -> ContractReport:
 
     qmin, i, j = pairwise_min(block, len(t))
     worst = (float(t[i]), float(t[j]), qmin)
-    if qmin > tol:
+    if qmin > STRICT_TOL:
         level = ContractLevel.STRONGLY
-    elif qmin >= -tol:
+    elif qmin >= -STRICT_TOL:
         level = ContractLevel.SELF_CONTRACTED
     else:
         level = ContractLevel.NOT_SELF_CONTRACTED
-    return ContractReport(level=level, c0=0.0, worst_pair=worst, worst_triple=None, tol=tol)
+    return ContractReport(level=level, c0=0.0, worst_pair=worst, worst_triple=None,
+                          tol=STRICT_TOL)
 
 
-def estimate_c0(curve: Curve, deflation: float = 0.9, tol: float = STRICT_TOL) -> float:
-    """Uniform strong constant: deflation x (grid min of the normalized products).
+def estimate_c0(curve: Curve) -> float:
+    """Uniform strong constant: DEFLATION x (grid min of the normalized products).
 
     Returns 0.0 when the minimum sits at zero within tolerance (strongly
     fails only on a boundary pair); raises NotStronglyContracted when the
     curve is not even self-contracted on the grid.
     """
-    strong = check_strong(curve, tol=tol)
+    strong = check_strong(curve)
     if strong.level == ContractLevel.NOT_SELF_CONTRACTED:
         qmin = strong.worst_pair[2]
         raise NotStronglyContracted(f"pairwise minimum {qmin:.3g} is negative")
-    return upgrade_uniform(strong, deflation).c0
+    return upgrade_uniform(strong).c0
 
 
-def upgrade_uniform(strong: ContractReport, deflation: float = 0.9) -> ContractReport:
-    """Lift a STRONGLY report to UNIFORMLY_STRONGLY, c0 from its own pairwise min."""
+def upgrade_uniform(strong: ContractReport) -> ContractReport:
+    """Lift a STRONGLY report to UNIFORMLY_STRONGLY, c0 = DEFLATION x its pairwise min."""
     if strong.level != ContractLevel.STRONGLY:
         return strong
-    c0 = deflation * strong.worst_pair[2]
+    c0 = DEFLATION * strong.worst_pair[2]
     level = ContractLevel.UNIFORMLY_STRONGLY if c0 > 0.0 else ContractLevel.STRONGLY
     return replace(strong, level=level, c0=c0)
 
@@ -207,7 +210,7 @@ def _chord_table(P: np.ndarray) -> np.ndarray:
 
 
 def check_self_contracted_metric(curve: Curve, n_triples: int,
-                                 seed: int = 0, tol_factor: float = 1e-9) -> ContractReport:
+                                 seed: int = 0) -> ContractReport:
     """Metric triple inequality on random triples plus all consecutive ones.
 
     The random sample is stratified over triple spans so that both local and
@@ -215,7 +218,7 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     each a start index and two gaps below the stratum's span. Draws that run
     past the last sample are dropped (their slack is +inf), and the first
     triple of least slack is the witness (the first NaN slack, if any).
-    Violation threshold is tol = tol_factor * L.
+    Violation threshold is tol = 1e-9 * L.
 
     The draws depend only on (N, n_triples, seed). When n_triples is at most
     TABLE_TRIPLES and the N x N chord table is no larger than the chords the
@@ -243,7 +246,7 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     # argmin over the stratum minima keeps argmin's rule over all triples: the
     # first NaN, else the first least slack
     slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
-    tol = tol_factor * curve.length
+    tol = 1e-9 * curve.length
     level = (ContractLevel.NOT_SELF_CONTRACTED if slack < -tol
              else ContractLevel.SELF_CONTRACTED)
     worst = tuple(float(t[m]) for m in triple) + (float(slack),)
@@ -281,11 +284,10 @@ def _least_by_chords(P, i, j, k, dropped):
     return slack[w], i[w], j[w], k[w]
 
 
-def classify(curve: Curve, n_triples: int = 100_000, seed: int = 0,
-             tol: float = STRICT_TOL) -> ContractReport:
-    """Full hierarchy decision: metric cross-check, pairwise level, c0."""
+def classify(curve: Curve, n_triples: int = 100_000, seed: int = 0) -> ContractReport:
+    """Full hierarchy decision: metric cross-check, pairwise level (STRICT_TOL), c0."""
     metric = check_self_contracted_metric(curve, n_triples, seed=seed)
-    strong = upgrade_uniform(check_strong(curve, tol=tol))
+    strong = upgrade_uniform(check_strong(curve))
     # the metric cross-check can only veto; the pairwise scan sets the level
     if metric.level == ContractLevel.NOT_SELF_CONTRACTED:
         strong = replace(strong, level=ContractLevel.NOT_SELF_CONTRACTED, c0=0.0)

@@ -122,17 +122,17 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
     return jet._scans[tol]
 
 
-def check_C(jet: JetData, rtol: float = 1e-10) -> ConditionCReport:
+def check_C(jet: JetData) -> ConditionCReport:
     """First-order convexity: f(x) - f(y) >= <G(y), x - y> on all pairs.
 
-    Passes iff the minimum slack is >= -rtol * max|f|. The report separates
+    Passes iff the minimum slack is >= -1e-10 * max|f|. The report separates
     the two index orders (x before y on the curve, and after), which have
     different proof content: the "before" direction holds for any positive
     increasing profile, the "after" direction is exactly the (M)-inequality.
     """
     (min_slack, wi, wj), step1, step2, _, _ = _slack_scan(jet, CW1_TOL)
     scale = float(np.abs(jet.values).max())
-    passed = bool(min_slack >= -rtol * scale)
+    passed = bool(min_slack >= -1e-10 * scale)
     return ConditionCReport(passed=passed, min_slack=min_slack, step1_min=step1,
                             step2_min=step2, witness=(wi, wj, min_slack),
                             scale=scale)

@@ -254,22 +254,18 @@ def roundtrip_error(traj: Trajectory, reparam: ReparamCurve) -> RoundtripMetrics
                             hausdorff=hausdorff)
 
 
-def check_flow_self_contracted(f_grad, x0, t_end: float, dt: float | None = None,
-                               n_resample: int = 200,
-                               speed_floor: float = 1e-6) -> contract.ContractReport:
+def check_flow_self_contracted(f_grad, x0, t_end: float) -> contract.ContractReport:
     """Integrate a gradient flow and test its orbit for strong contraction.
 
-    The trajectory is truncated at its stationary tail (speed below
-    ``speed_floor``), arc-length reparameterized, and run through the
-    pairwise contraction check; c0 > 0 upgrades the level to uniform. The
-    orbit is sampled every ``dt`` (default 1e-3 t_end) by ``sample_flow``.
+    The trajectory is truncated at its stationary tail (speed below 1e-6),
+    arc-length reparameterized to 200 samples, and run through the pairwise
+    contraction check; c0 > 0 upgrades the level to uniform. The orbit is
+    sampled at 1001 equally spaced times of [0, t_end] by ``sample_flow``.
     """
-    if dt is None:
-        dt = 1e-3 * t_end
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
-        raise ValueError("dt and t_end must be positive and finite")
-    traj = sample_flow(f_grad, x0, np.linspace(0.0, t_end, round(t_end / dt) + 1))
-    alive = traj.speeds >= speed_floor
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    traj = sample_flow(f_grad, x0, np.linspace(0.0, t_end, 1001))
+    alive = traj.speeds >= 1e-6
     keep = len(traj.speeds) if alive.all() else max(int(np.argmin(alive)), 3)
     pts = traj.states[:keep]
     # drop numerically coincident consecutive samples before interpolation
@@ -279,7 +275,7 @@ def check_flow_self_contracted(f_grad, x0, t_end: float, dt: float | None = None
     if len(pts) < 3:
         raise ValueError("trajectory has fewer than 3 distinct points; "
                          "start away from a stationary point")
-    orbit = from_samples(pts, n_resample)
+    orbit = from_samples(pts, 200)
     return contract.upgrade_uniform(contract.check_strong(orbit))
 
 

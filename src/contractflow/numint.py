@@ -16,9 +16,11 @@ from .errors import QuadratureBudgetExceeded
 # integrand evaluations one adaptive_simpson call may make (the most any
 # built-in plan or test needs is under 7000)
 MAX_EVALS = 100_000
+# times adaptive_simpson may halve a cell
+MAX_DEPTH = 48
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48,
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
                      *, fa=None, fb=None) -> float:
     """Integrate a scalar function over [a, b] to absolute tolerance ``tol``.
 
@@ -26,7 +28,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     are then not evaluated again (they still count against the budget).
     Raises QuadratureBudgetExceeded once MAX_EVALS evaluations of ``f`` have
     not reached ``tol``, as when the integrand's rounding noise exceeds it:
-    the splitting would otherwise go on toward 2^max_depth cells.
+    the splitting would otherwise go on toward 2^MAX_DEPTH cells.
     """
     if a == b:
         return 0.0
@@ -37,7 +39,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     budget = [MAX_EVALS - 3]
     try:
-        return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth, budget)
+        return _simpson_step(f, a, b, fa, fm, fb, whole, tol, MAX_DEPTH, budget)
     except QuadratureBudgetExceeded:
         raise QuadratureBudgetExceeded(
             f"adaptive Simpson on [{a:.6g}, {b:.6g}] did not reach tol {tol:.3g} "
@@ -68,11 +70,12 @@ def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth, budget):
 
 
 def invert_monotone(fn, target: float, lo: float, hi: float, deriv=None,
-                    tol: float = 1e-12, max_iter: int = 200) -> float:
+                    tol: float = 1e-12) -> float:
     """Solve fn(x) = target for increasing fn on [lo, hi].
 
     Bisection narrows the bracket; once inside, Newton (when ``deriv`` is
-    given) converges quadratically. ``tol`` is relative to the bracket width.
+    given) converges quadratically. ``tol`` is relative to the bracket width;
+    after 200 iterations the bracket's midpoint is returned.
     """
     flo = fn(lo) - target
     if flo >= 0.0:
@@ -83,7 +86,7 @@ def invert_monotone(fn, target: float, lo: float, hi: float, deriv=None,
     scale = max(abs(hi - lo), 1.0)
     a, b = lo, hi
     x = 0.5 * (a + b)
-    for _ in range(max_iter):
+    for _ in range(200):
         fx = fn(x) - target
         if fx > 0.0:
             b = x
@@ -153,16 +156,18 @@ def _hermite(x, xs, ys, slopes):
     return np.where(np.isnan(out), np.inf, out)
 
 
-def tail_limit_integral(f, a: float, b: float, rel_tol: float = 1e-9,
-                        max_halvings: int = 48):
+def tail_limit_integral(f, a: float, b: float, max_halvings: int = 48):
     """Integral of f over [a, b) with a possible singularity at b.
 
     Integrates over [a, b - delta_k] for geometrically shrinking delta_k.
     Power-law endpoint singularities give geometric increments, so the tail
     is summed by ratio extrapolation; increments that do not decay
-    geometrically (log or worse divergence) never converge. Returns
+    geometrically (log or worse divergence) never converge. Each piece is
+    integrated to tolerance 1e-9, and convergence is judged at 1e-9 relative
+    to max(1, |value|). Returns
     ``(value, converged)``.
     """
+    rel_tol = 1e-9
     delta = 0.5 * (b - a)
     total = adaptive_simpson(f, a, b - delta, rel_tol)
     prev_inc = None

@@ -28,6 +28,7 @@ from .errors import (
 from .numint import CumulativeTable, adaptive_simpson, tail_limit_integral
 
 B_MIN = 1.0  # rate floor; degenerate curves (C1 = 0) otherwise give b = 0
+ZETA_MIN = 1e-3  # constant majorant standing in for a zero zeta
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,10 @@ def _exponential(curve: Curve, b: float, c0, c1) -> ReparamPlan:
     return plan
 
 
-def exponential_plan(curve: Curve, reg: RegularityEstimate, c0: float,
-                     b_min: float = B_MIN) -> ReparamPlan:
+def exponential_plan(curve: Curve, reg: RegularityEstimate, c0: float) -> ReparamPlan:
     """Exponential profile m(t) = e^{bt} with the certified-sufficient rate.
 
-    b = 3 C1' e^{1/c0} where C1' = c1 L^{2 alpha - 1}, floored at b_min.
+    b = 3 C1' e^{1/c0} where C1' = c1 L^{2 alpha - 1}, floored at B_MIN.
     Raises HorizonOverflow when b itself does not fit in float64.
     """
     if c0 <= 0.0:
@@ -125,7 +125,7 @@ def exponential_plan(curve: Curve, reg: RegularityEstimate, c0: float,
     if log_b > np.log(np.finfo(float).max):
         raise HorizonOverflow(f"exponential rate b = 3 C1' e^(1/c0) = e^{log_b:.6g} "
                               f"overflows float64 (c0 = {c0:.3g})")
-    b = max(math.exp(log_b), b_min)
+    b = max(math.exp(log_b), B_MIN)
     return _exponential(curve, b, c0, reg.c1)
 
 
@@ -136,13 +136,12 @@ def exponential_plan_with_rate(curve: Curve, b: float) -> ReparamPlan:
     return _exponential(curve, b, None, None)
 
 
-def endpoint_plan(curve: Curve, c0: float, c1_cubic: float,
-                  b_min: float = B_MIN) -> ReparamPlan:
+def endpoint_plan(curve: Curve, c0: float, c1_cubic: float) -> ReparamPlan:
     """Endpoint profile m(t) = e^{phi(t)} / (b (L - t)), phi = b (L t - t^2/2).
 
     m blows up at t = L, so the reparameterized curve arrives at the tip with
     zero speed and T = +inf. Requires the cubic Taylor constant
-    c1_cubic = ||gamma'''||_inf / 6; the rate is b = max(3 c1_cubic / c0, b_min),
+    c1_cubic = ||gamma'''||_inf / 6; the rate is b = max(3 c1_cubic / c0, B_MIN),
     a 1.5x margin over the proof's requirement b c0 > 2 C1.
     """
     if c0 <= 0.0:
@@ -150,7 +149,7 @@ def endpoint_plan(curve: Curve, c0: float, c1_cubic: float,
     if c1_cubic < 0.0:
         raise ValueError("c1_cubic must be nonnegative")
     L = curve.length
-    b = max(3.0 * c1_cubic / c0, b_min)
+    b = max(3.0 * c1_cubic / c0, B_MIN)
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -251,12 +250,13 @@ def _check_zeta_hypothesis(curve: Curve, zeta) -> None:
             f"zeta bound fails by {worst:.3g} at (t, s) = ({t[i]:.6g}, {t[j]:.6g})")
 
 
-def zeta_plan(curve: Curve, c0: float, zeta, zeta_min: float = 1e-3) -> ReparamPlan:
+def zeta_plan(curve: Curve, c0: float, zeta) -> ReparamPlan:
     """Profile from an increasing majorant zeta with finite A = int_0^L zeta.
 
     phi'(t) = (2/c0)(A - int_0^t zeta), m = e^phi / phi'. The pairwise
     hypothesis <T(t), (gamma(s)-gamma(t))/(s-t)> >= 1 - zeta(s)(s-t)^2 is
-    verified on the grid before the profile is built.
+    verified on the grid before the profile is built. A majorant with
+    A < 1e-12 (zeta == 0) is replaced by the constant ZETA_MIN.
     """
     if c0 <= 0.0:
         raise NonPositiveC0("zeta plan needs c0 > 0")
@@ -273,8 +273,8 @@ def zeta_plan(curve: Curve, c0: float, zeta, zeta_min: float = 1e-3) -> ReparamP
         raise DivergentA("integral of zeta over [0, L) does not converge")
     if a_val < 1e-12:
         # degenerate majorant (zeta == 0): fall back to the constant floor
-        zeta_fn = lambda t: np.full_like(np.asarray(t, dtype=float), zeta_min)
-        a_val = zeta_min * L
+        zeta_fn = lambda t: np.full_like(np.asarray(t, dtype=float), ZETA_MIN)
+        a_val = ZETA_MIN * L
     else:
         zeta_fn = lambda t: np.asarray(zeta(t), dtype=float)
 
@@ -321,15 +321,20 @@ def zeta_plan(curve: Curve, c0: float, zeta, zeta_min: float = 1e-3) -> ReparamP
             return np.divide(np.expm1(delta, out=out), -dphi(t), out=out)
 
     # theta is tabulated once up to t_cap, the first grid node at or past
-    # 0.999 L; the sliver up to L, where m may blow up, is integrated directly
-    # and never inverted. phi is linear between grid nodes, so m is smooth
-    # within a grid cell and each Simpson pair spans part of one cell: the
-    # table splits each cell in 2, and in 8 past 0.99 L, where m grows steeply
-    k_cap = int(np.searchsorted(xg, 0.999 * L))
+    # 0.999 L and past the flow horizon's t_(N-2); the sliver up to L, where m
+    # may blow up, is integrated directly and never inverted. phi is linear
+    # between grid nodes, so m is smooth within a grid cell and each Simpson
+    # pair spans part of one cell: the table splits each cell in 2, in 8 past
+    # 0.99 L, where m grows steeply, and in 128 past 0.999 L, where 8 splits
+    # miss the table's 1e-9 accuracy
     k_fine = int(np.searchsorted(xg, 0.99 * L))
+    k_steep = int(np.searchsorted(xg, 0.999 * L))
+    k_cap = min(int(np.searchsorted(xg, max(0.999 * L, float(curve.params[-2])))),
+                len(xg) - 1)
     t_cap = float(xg[k_cap])
     nodes = np.concatenate([np.linspace(0.0, xg[k_fine], 2 * k_fine + 1)[:-1],
-                            np.linspace(xg[k_fine], t_cap, 8 * (k_cap - k_fine) + 1)])
+                            np.linspace(xg[k_fine], xg[k_steep], 8 * (k_steep - k_fine) + 1),
+                            np.linspace(xg[k_steep], t_cap, 128 * (k_cap - k_steep) + 1)[1:]])
     tab = CumulativeTable.simpson(nodes, m(nodes))
     # the sliver is integrated in units of theta(t_cap): m may be huge, and the
     # rounding noise of phi' near L then defeats an absolute tolerance

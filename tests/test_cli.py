@@ -110,10 +110,8 @@ class TestGenCheck:
         assert res.exit_code == 3
 
     def test_gen_json_form(self, runner, tmp_path):
-        csv = tmp_path / "c.csv"
         js = tmp_path / "c.json"
-        runner.invoke(main, ["gen", "--gen", "circle", "--n", "60",
-                             "-o", str(csv), "--json-out", str(js)])
+        runner.invoke(main, ["gen", "--gen", "circle", "--n", "60", "-o", str(js)])
         doc = json.loads(js.read_text())
         assert doc["dim"] == 2
         assert doc["L"] == pytest.approx(np.pi / 2)
@@ -297,14 +295,16 @@ class TestStagedProjections:
         assert res.exit_code == 2 and "--dt-factor" in res.stderr
 
     def test_zeta_horizon_at_0999_L_is_tabulated(self, runner):
-        # N = 1000 puts t_(N-2) within one grid step of 0.999 L: the flow runs
-        # to the tabulated horizon instead of failing on theta_inv
-        res = runner.invoke(main, ["run", "--gen", "circle", "--plan", "zeta",
-                                   "--n", "1000", "--n-triples", "500"])
-        assert res.exit_code in (0, 6) and isinstance(res.exception, SystemExit)
-        flow = json.loads(res.stdout)["stages"][-1]
-        assert flow["name"] == "flow" and "error" not in flow["data"]
-        assert np.isfinite(flow["data"]["horizon"])
+        # N = 1000 puts t_(N-2) within one grid step of 0.999 L, and N = 1500
+        # past it: the flow runs to the tabulated horizon instead of failing
+        # on theta_inv
+        for n in ("1000", "1500"):
+            res = runner.invoke(main, ["run", "--gen", "circle", "--plan", "zeta",
+                                       "--n", n, "--n-triples", "500"])
+            assert res.exit_code in (0, 6) and isinstance(res.exception, SystemExit)
+            flow = json.loads(res.stdout)["stages"][-1]
+            assert flow["name"] == "flow" and "error" not in flow["data"], n
+            assert np.isfinite(flow["data"]["horizon"])
 
     def test_unsmoothed_extension_fails_flow_stage(self, runner):
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", "50",

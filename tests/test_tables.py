@@ -118,10 +118,11 @@ class TestTableAccuracy:
             sa, sb = plan.theta(t_back)
             assert sb - sa == pytest.approx(ref, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [965, 1000, 1001])
+    @pytest.mark.parametrize("n", [965, 1000, 1001, 1100, 1500, 3000, 5000])
     def test_zeta_table_covers_0999_L(self, n):
-        # t_(N-2) = L (N - 2)/(N - 1) reaches 0.999 L at N = 1001; the flow
-        # horizon theta(t_(N-2)) must invert, and match a cell-by-cell reference
+        # t_(N-2) = L (N - 2)/(N - 1) reaches 0.999 L at N = 1001 and passes the
+        # next grid node, 0.99902 L, above N = 1025; the flow horizon
+        # theta(t_(N-2)) must invert, and match a cell-by-cell reference
         crv = cf.make_circle_arc(np.pi / 2, n)
         plan = cf.zeta_plan(crv, cf.estimate_c0(crv), cf.third_deriv_bound(crv).zeta)
         t = float(crv.params[-2])
