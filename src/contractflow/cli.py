@@ -6,10 +6,11 @@ Exit codes: 0 success, 2 config error, 3 contract failure, 4 (M) failure,
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import click
@@ -132,10 +133,7 @@ class PipelineReport:
         return passed
 
     def to_json_dict(self) -> dict:
-        return {"schema_version": 1, "config": _jsonable(self.config),
-                "constants": _jsonable(self.constants),
-                "stages": self.stages, "passed": self.passed,
-                "exit_code": self.exit_code}
+        return {"schema_version": 1, **_jsonable(self)}
 
     def render(self, fmt: str = "json") -> str:
         if fmt == "json":
@@ -153,6 +151,14 @@ class PipelineReport:
 
 
 def _jsonable(obj):
+    """``obj`` in JSON values: tuples and arrays become lists, inf and NaN null, an
+    enum its value, and a report dataclass the dict of its ``repr``-visible fields;
+    ``repr=False`` keeps a field (a plan's evaluators, the pipeline's ``results``) out.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj) if f.repr}
+    if isinstance(obj, enum.Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -160,12 +166,9 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if math.isnan(v) else (v if math.isfinite(v) else None)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
@@ -188,7 +191,7 @@ def _contract_stage(cfg, report, data) -> bool:
                              seed=cfg.seed)
     report.results["contract"] = crep
     report.constants["c0"] = _jsonable(crep.c0)
-    data.update(crep.to_json_dict())
+    data.update(_jsonable(crep))
     return crep.level == contract.ContractLevel.UNIFORMLY_STRONGLY
 
 
@@ -200,9 +203,9 @@ def _repar_stage(cfg, report, data) -> bool:
     report.constants.update(_jsonable({
         "b": plan.b, "c1": None if reg is None else reg.c1,
         "alpha": cfg.alpha, "L": plan.L,
-        "T": None if math.isinf(plan.T) else plan.T}))
+        "T": plan.T}))
     mrep = res["M"] = repar.verify_M(crv, plan)
-    data.update(kind=plan.kind, **mrep.to_json_dict())
+    data.update(kind=plan.kind, **_jsonable(mrep))
     if mrep.holds:
         res["horizon"] = _flow_horizon(crv, plan)
     return mrep.holds
@@ -213,7 +216,7 @@ def _extend_stage(cfg, report, data) -> bool:
     jet = extend.curve_jet(res["curve"], res["plan"])
     c_rep = res["condition_C"] = extend.check_C(jet)
     cw_rep = res["condition_CW1"] = extend.check_CW1(jet)
-    data.update(condition_C=c_rep.to_json_dict(), condition_CW1=cw_rep.to_json_dict())
+    data.update(condition_C=c_rep, condition_CW1=cw_rep)
     if not (c_rep.passed and cw_rep.passed):
         return False
     res["extension"] = extend.build_extension(jet, smoothing_eps=cfg.eps,
@@ -230,7 +233,7 @@ def _flow_stage(cfg, report, data) -> bool:
     metrics = res["roundtrip"] = flow_mod.roundtrip_error(traj, rep_curve)
     data.update(horizon=horizon, eps=ext.smoothing_eps,
                 grad_evals=traj.grad_evals + speed_evals, final_speed=speed,
-                **metrics.to_json_dict())
+                **_jsonable(metrics))
     return metrics.sup_distance <= cfg.roundtrip_tol
 
 
@@ -389,7 +392,7 @@ def gen(output, **kwargs):
 def check(wanted, output, **kwargs):
     """Classify a curve's self-contractedness; exit 3 if below --level."""
     crep = _result(run_pipeline(_cfg(kwargs), stop_after="contract"), "contract")
-    _emit(crep.to_json_dict(), output)
+    _emit(crep, output)
     sys.exit(EXIT_OK if crep.level >= contract.ContractLevel(wanted) else EXIT_CONTRACT)
 
 
@@ -399,7 +402,7 @@ def check(wanted, output, **kwargs):
 def build_m(output, **kwargs):
     """Construct the speed profile m and print its constants; exit 4 when (M) fails."""
     report = run_pipeline(_cfg(kwargs), stop_after="repar")
-    _emit(_result(report, "plan").to_json_dict(), output)
+    _emit(_result(report, "plan"), output)
     sys.exit(report.exit_code)
 
 
@@ -410,8 +413,7 @@ def verify_m(output, **kwargs):
     """Verify the (M)-inequality on the grid; exit 4 when it fails."""
     report = run_pipeline(_cfg(kwargs), stop_after="repar")
     mrep = _result(report, "M")
-    _emit({"plan": report.results["plan"].to_json_dict(), **mrep.to_json_dict()},
-          output)
+    _emit({"plan": report.results["plan"], **_jsonable(mrep)}, output)
     sys.exit(report.exit_code)
 
 
@@ -425,8 +427,8 @@ def extend_cmd(output, **kwargs):
     if "extension" in res:
         _emit(res["extension"].to_json_dict(), output)
     else:
-        _emit({"condition_C": _result(report, "condition_C").to_json_dict(),
-               "condition_CW1": res["condition_CW1"].to_json_dict()}, None)
+        _emit({"condition_C": _result(report, "condition_C"),
+               "condition_CW1": res["condition_CW1"]}, None)
     sys.exit(report.exit_code)
 
 
@@ -491,7 +493,7 @@ def flow_cmd(ext_path, x0, t_end, dt, output):
 def roundtrip_cmd(output, **kwargs):
     """Reparameterize, integrate the extension flow, compare; exit 6 on miss."""
     report = run_pipeline(_cfg(kwargs))
-    _emit(_result(report, "roundtrip").to_json_dict(), output)
+    _emit(_result(report, "roundtrip"), output)
     sys.exit(report.exit_code)
 
 

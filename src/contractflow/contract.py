@@ -57,15 +57,6 @@ class ContractReport:
     worst_triple: tuple | None  # (t1, t2, t3, slack) minimizing the metric slack
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level.value,
-            "c0": self.c0,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "worst_triple": list(self.worst_triple) if self.worst_triple else None,
-            "tol": self.tol,
-        }
-
 
 def check_strong(curve: Curve) -> ContractReport:
     """Differential pairwise check: strictly positive inner products.
@@ -300,14 +291,6 @@ class TaylorReport:
     holder_witness: tuple  # (t, s, lhs, rhs)
     cubic_slack: float | None
     cubic_witness: tuple | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "holder_slack": self.holder_slack,
-            "holder_witness": list(self.holder_witness),
-            "cubic_slack": self.cubic_slack,
-            "cubic_witness": list(self.cubic_witness) if self.cubic_witness else None,
-        }
 
 
 def _taylor_scan(curve: Curve, bounds: list) -> list:

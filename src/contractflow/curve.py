@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -340,12 +341,12 @@ def log_spiral_arclength(lam: float, t_max: float) -> float:
     return math.sqrt(1.0 + lam * lam) * (1.0 - math.exp(-lam * t_max)) / lam
 
 
-def log_spiral_critical_lambda(tol: float = 1e-10) -> float:
+def log_spiral_critical_lambda() -> float:
     """Root of lam = e^{-3 pi lam / 2}, the spiral classification threshold."""
     g = lambda lam: lam - math.exp(-1.5 * math.pi * lam)
     dg = lambda lam: 1.0 + 1.5 * math.pi * math.exp(-1.5 * math.pi * lam)
     root = invert_monotone(g, 0.0, 1e-4, 1.0, deriv=dg, tol=1e-15)
-    assert abs(g(root)) < tol
+    assert abs(g(root)) < 1e-10
     return root
 
 
@@ -503,12 +504,23 @@ def save_csv(curve: Curve, path) -> None:
 
 
 def load_csv(path) -> Curve:
+    """Inverse of ``save_csv``; ValueError unless the rows have 1 + 2d columns,
+    d >= 1, and there is at least one."""
     with open(path) as fh:
         first = fh.readline()
     skip = 1 if first.lstrip().startswith("t") else 0
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    d = (data.shape[1] - 1) // 2
-    params, points, tangents = data[:, 0], data[:, 1:1 + d], data[:, 1 + d:1 + 2 * d]
+    with warnings.catch_warnings():
+        # an empty file is reported below, as the one line of a ValueError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    if data.size == 0:
+        raise ValueError("curve file is empty: it holds no sample rows")
+    k = data.shape[1]
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"curve file has {k} columns, expected 1 + 2d "
+                         "(t, x_1..x_d, tx_1..tx_d) with d >= 1")
+    d = (k - 1) // 2
+    params, points, tangents = data[:, 0], data[:, 1:1 + d], data[:, 1 + d:]
     require_finite("curve file", t=params, x=points, tx=tangents)
     return Curve(params=params, points=points, tangents=tangents, source="sampled")
 

@@ -69,11 +69,6 @@ class ConditionCReport:
     witness: tuple  # (i, j, slack) of the global minimum
     scale: float
 
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "min_slack": self.min_slack,
-                "step1_min": self.step1_min, "step2_min": self.step2_min,
-                "witness": list(self.witness), "scale": self.scale}
-
 
 def _slack_scan(jet: JetData, tol: float) -> tuple:
     """One blocked pass over slack[i, j] = f_i - f_j - <G_j, x_i - x_j>, i != j.
@@ -143,10 +138,6 @@ class ConditionCW1Report:
     passed: bool
     n_equality_pairs: int
     witness: tuple | None  # (i, j, gradient_gap) of the worst equality pair
-
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "n_equality_pairs": self.n_equality_pairs,
-                "witness": list(self.witness) if self.witness else None}
 
 
 def check_CW1(jet: JetData, tol: float = CW1_TOL) -> ConditionCW1Report:

@@ -229,11 +229,6 @@ class RoundtripMetrics:
     terminal_distance: float
     hausdorff: float
 
-    def to_json_dict(self) -> dict:
-        return {"sup_distance": self.sup_distance,
-                "terminal_distance": self.terminal_distance,
-                "hausdorff": self.hausdorff}
-
 
 def roundtrip_error(traj: Trajectory, reparam: ReparamCurve) -> RoundtripMetrics:
     """Distance between the integrated flow and the reparameterized curve.

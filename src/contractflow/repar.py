@@ -54,16 +54,6 @@ class ReparamPlan:
     theta: object = field(repr=False, compare=False)
     theta_inv: object = field(repr=False, compare=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "b": self.b,
-            "c0": self.c0,
-            "c1": self.c1,
-            "L": self.L,
-            "T": None if math.isinf(self.T) else self.T,
-        }
-
 
 def _validate_profile(plan: ReparamPlan) -> None:
     # m strictly positive and nondecreasing, probed on a 10^3 grid of [0, L)
@@ -374,10 +364,6 @@ class MReport:
     holds: bool
     worst_pair: tuple  # (t, s, lhs, rhs) minimizing rhs - lhs
     margin: float
-
-    def to_json_dict(self) -> dict:
-        return {"holds": self.holds, "worst_pair": list(self.worst_pair),
-                "margin": self.margin}
 
 
 def verify_M(curve: Curve, plan: ReparamPlan) -> MReport:

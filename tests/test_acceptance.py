@@ -175,7 +175,7 @@ def test_criterion_5_converse_direction():
 
 def test_criterion_6_spiral_classification():
     t0 = time.perf_counter()
-    lam0 = cf.log_spiral_critical_lambda(tol=1e-10)
+    lam0 = cf.log_spiral_critical_lambda()
     assert abs(lam0 - math.exp(-1.5 * math.pi * lam0)) < 1e-10
 
     below = cf.make_log_spiral(lam0 - 0.15, 4 * np.pi, 400)

@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from contractflow import extend, flow
-from contractflow.cli import main
+from contractflow import contract, extend, flow, repar
+from contractflow.cli import _jsonable, main
 
 
 @pytest.fixture
@@ -360,12 +360,90 @@ class TestCurveInput:
         assert stage["name"] == "curve" and not stage["passed"]
         assert stage["data"]["error"] == "curve file: x is not finite at sample 1"
 
+    _EMPTY = "curve file is empty: it holds no sample rows"
+    _COLUMNS = "curve file has {} columns, expected 1 + 2d (t, x_1..x_d, tx_1..tx_d) with d >= 1"
+
+    @pytest.mark.parametrize("text, cause", [
+        ("", _EMPTY),
+        ("t,x1,tx1\n", _EMPTY),
+        ("t,x1\n0,0\n0.5,0.5\n1,1\n", _COLUMNS.format(2)),
+        # an even column count is neither read as a 1-D curve with its last
+        # column dropped nor rejected for its tangents
+        ("t,x1,tx1,x2\n0,0,1,5\n0.5,0.5,1,7\n1,1,1,9\n", _COLUMNS.format(4)),
+        ("t,x1,x2,tx1\n0,0,0,1\n0.5,0.5,0,1\n1,1,0,1\n", _COLUMNS.format(4)),
+    ], ids=["empty", "header-only", "2-columns", "t,x1,tx1,x2", "t,x1,x2,tx1"])
+    def test_malformed_csv_fails_with_its_cause(self, runner, tmp_path, text, cause):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["check", "--input", str(csv)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr == f"curve stage failed: {cause}\n"
+
     def test_curve_json_without_points_fails_curve_stage(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"params": [0.0, 1.0, 2.0]}))
         res = runner.invoke(main, ["check", "--input", str(path)])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("curve stage failed: malformed curve document")
+
+
+class TestReportSerialization:
+    def test_contract_report(self):
+        rep = contract.ContractReport(
+            level=contract.ContractLevel.STRONGLY, c0=0.5,
+            worst_pair=(0.25, 0.75, np.float64(0.5)), worst_triple=(0.0, 0.5, 1.0, 0.0),
+            tol=1e-9)
+        assert _jsonable(rep) == {"level": "strongly", "c0": 0.5,
+                                  "worst_pair": [0.25, 0.75, 0.5],
+                                  "worst_triple": [0.0, 0.5, 1.0, 0.0], "tol": 1e-9}
+
+    def test_plan_drops_evaluators_and_infinite_T(self):
+        def ev(t, *rest, out=None):
+            return t
+        plan = repar.ReparamPlan(kind="endpoint", b=1.0, c0=0.9, c1=None, L=1.0,
+                                 T=math.inf, m=ev, inv_m=ev, inv_m_integral=ev,
+                                 lhs_M=ev, theta=ev, theta_inv=ev)
+        doc = _jsonable(plan)
+        assert doc == {"kind": "endpoint", "b": 1.0, "c0": 0.9, "c1": None,
+                       "L": 1.0, "T": None}
+        assert json.loads(json.dumps(doc)) == doc
+
+    def test_cw1_report_without_witness(self):
+        rep = extend.ConditionCW1Report(passed=True, n_equality_pairs=0, witness=None)
+        assert _jsonable(rep) == {"passed": True, "n_equality_pairs": 0,
+                                  "witness": None}
+
+    _KEYS = {
+        "curve": {"dim", "length", "n_samples", "source"},
+        "contract": {"c0", "level", "tol", "worst_pair", "worst_triple"},
+        "repar": {"holds", "kind", "margin", "worst_pair"},
+        "extend": {"condition_C", "condition_CW1"},
+        "flow": {"eps", "final_speed", "grad_evals", "hausdorff", "horizon",
+                 "sup_distance", "terminal_distance"},
+    }
+
+    @pytest.mark.parametrize("args, code, last", [
+        (["--gen", "segment"], 0, "flow"),
+        (["--gen", "circle", "--b", "0.05"], 4, "repar"),
+        (["--gen", "circle", "--n", "1000"], 5, "extend"),
+    ])
+    def test_stage_data_keys(self, runner, args, code, last):
+        res = runner.invoke(main, ["run", *args])
+        assert res.exit_code == code, res.output
+        doc = json.loads(res.stdout)
+        assert set(doc) == {"schema_version", "config", "constants", "stages",
+                            "passed", "exit_code"}
+        assert doc["stages"][-1]["name"] == last
+        for stage in doc["stages"]:
+            data = stage["data"]
+            assert set(data) == self._KEYS[stage["name"]], stage["name"]
+            if stage["name"] == "extend":
+                assert set(data["condition_C"]) == {
+                    "passed", "min_slack", "step1_min", "step2_min", "witness", "scale"}
+                assert set(data["condition_CW1"]) == {"passed", "n_equality_pairs",
+                                                      "witness"}
 
 
 @pytest.fixture

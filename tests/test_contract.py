@@ -5,6 +5,7 @@ import pytest
 
 import contractflow as cf
 from contractflow import contract
+from contractflow.cli import _jsonable
 from contractflow.contract import ContractLevel, ContractReport
 from contractflow.errors import BoundViolated, NotStronglyContracted
 
@@ -209,9 +210,12 @@ class TestClassify:
         assert vals[0] < vals[1] < vals[2]
 
     def test_report_serializes(self, segment):
-        doc = cf.classify(segment, 1000).to_json_dict()
+        rep = cf.classify(segment, 1000)
+        doc = _jsonable(rep)
         assert doc["level"] == "uniformly_strongly"
         assert doc["c0"] == pytest.approx(0.9)
+        assert doc["worst_pair"] == list(rep.worst_pair)
+        assert set(doc) == {"level", "c0", "worst_pair", "worst_triple", "tol"}
 
 
 class TestTaylorBound:

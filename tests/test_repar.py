@@ -45,9 +45,10 @@ class TestExponentialPlan:
             cf.exponential_plan(segment, reg, 0.0)
 
     def test_json(self, circle_plan):
-        doc = circle_plan.to_json_dict()
+        doc = cli._jsonable(circle_plan)
         assert doc["kind"] == "exponential"
         assert doc["T"] == pytest.approx(circle_plan.T)
+        assert set(doc) == {"kind", "b", "c0", "c1", "L", "T"}
 
 
 class TestEndpointPlan:
