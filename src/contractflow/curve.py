@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._scan import map_blocks, mask_lower, pair_gaps, scratch
 from .errors import (
@@ -138,6 +137,8 @@ class Curve:
     def _geom(self) -> _Geometry:
         if self.geometry is None:
             # direct-constructed curve: fit a spline through the stored samples
+            from scipy.interpolate import CubicSpline  # see from_samples
+
             cs = CubicSpline(self.params, self.points, axis=0)
             dcs = cs.derivative()
             geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(dcs, self.params))
@@ -239,6 +240,10 @@ def from_samples(raw_points, n_resample: int) -> Curve:
     if n_resample < 2:
         raise ValueError("n_resample must be at least 2")
     chord = np.concatenate([[0.0], np.cumsum(seg)])
+    # imported here: SciPy's interpolate module adds about 51 MB and 0.8 s to a process,
+    # which only curves fitted through samples pay
+    from scipy.interpolate import CubicSpline
+
     cs = CubicSpline(chord, pts, axis=0)
     dcs = cs.derivative()
     geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(dcs, chord))
@@ -504,25 +509,53 @@ def save_csv(curve: Curve, path) -> None:
 
 
 def load_csv(path) -> Curve:
-    """Inverse of ``save_csv``; ValueError unless the rows have 1 + 2d columns,
-    d >= 1, and there is at least one."""
+    """Inverse of ``save_csv``; ValueError unless the rows are numbers with
+    1 + 2d columns, d >= 1, and there are at least 3 of them."""
     with open(path) as fh:
         first = fh.readline()
     skip = 1 if first.lstrip().startswith("t") else 0
-    with warnings.catch_warnings():
-        # an empty file is reported below, as the one line of a ValueError
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, as the one line of a ValueError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError:
+        raise ValueError(_csv_fault(path, skip)) from None
     if data.size == 0:
         raise ValueError("curve file is empty: it holds no sample rows")
     k = data.shape[1]
     if k < 3 or k % 2 == 0:
         raise ValueError(f"curve file has {k} columns, expected 1 + 2d "
                          "(t, x_1..x_d, tx_1..tx_d) with d >= 1")
+    if len(data) < 3:
+        raise ValueError("a curve needs at least 3 samples")
     d = (k - 1) // 2
     params, points, tangents = data[:, 0], data[:, 1:1 + d], data[:, 1 + d:]
     require_finite("curve file", t=params, x=points, tx=tangents)
     return Curve(params=params, points=points, tangents=tangents, source="sampled")
+
+
+def _csv_fault(path, skip: int) -> str:
+    """Why ``np.loadtxt`` could not read a curve CSV: its first line that is
+    not a row of numbers, or that has another column count than the first."""
+    width = None
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0].strip()  # as loadtxt reads it
+            if number <= skip or not text:
+                continue
+            try:
+                row = np.loadtxt([text], delimiter=",", ndmin=1)
+            except ValueError:
+                what = ("neither a header starting with 't' nor a row of numbers"
+                        if number == 1 else "not a row of numbers")
+                return f"curve file line {number} is {what}: {text!r}"
+            if width is None:
+                width, first = len(row), number
+            elif len(row) != width:
+                return (f"curve file line {number} has {len(row)} columns, "
+                        f"line {first} has {width}")
+    return "curve file is not a table of comma-separated numbers"
 
 
 def to_json_dict(curve: Curve, alpha: float | None = None) -> dict:

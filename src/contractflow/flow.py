@@ -1,13 +1,15 @@
 """Gradient-flow integration, roundtrip metrics, and the converse check.
 
 ``sample_flow`` integrates x' = -grad F(x) with error control: the embedded
-Dormand-Prince 5(4) pair, driven step by step through scipy's ``RK45``
-stepper, whose step size follows the local error; each step's dense output
-gives the samples at the requested times that it covers and, when the state
-norm crosses its limit, the crossing time. The pipeline's roundtrip and the
-converse check use it. ``integrate``, classical fixed-step RK4 on Python
-floats, is kept as the fixed-step reference whose error behaves predictably
-for the order checks and the ``flow --dt`` command.
+Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4), stepped here with the initial step, RMS error norm and
+step controller of SciPy's ``RK45``, whose steps it reproduces bit for bit.
+Each step's quartic dense output gives the samples at the requested times
+that it covers and, when the state norm crosses its limit, the crossing time
+by Brent's method. The pipeline's roundtrip and the converse check use it.
+``integrate``, classical fixed-step RK4 on Python floats, is kept as the
+fixed-step reference whose error behaves predictably for the order checks
+and the ``flow --dt`` command.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45, cumulative_simpson
-from scipy.optimize import brentq
-from scipy.spatial.distance import cdist
 
 from . import contract
+from ._scan import SMALL_BLOCK, map_blocks, scratch
 from .curve import Curve, from_samples
 from .errors import BlowUp, IdentityViolated
 from .extend import ConvexExtension, eval_grad
+from .numint import cumulative_simpson
 from .repar import ReparamCurve
 
 GRAD_STOP = 1e-8
-# sample_flow's error control: RK45 relative and absolute tolerances
+# sample_flow's error control: relative and absolute tolerances
 RTOL = 1e-8
 ATOL = 1e-9
 # sample_flow gives up after this many gradient evaluations
@@ -36,6 +37,31 @@ MAX_EVALS = 100_000
 SPEED_ROWS = 64
 # the escape time is solved to 4 EPS, as solve_ivp solves for its event times
 EPS = np.finfo(float).eps
+# Dormand-Prince 5(4): stage times C, stage weights A, fifth-order weights B,
+# error weights E (fifth minus fourth order, the last on the step's final
+# derivative) and the dense-output polynomial P with Shampine's (1986) c_6
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# step controller: safety factor, and the bounds on one step's change of size
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -165,11 +191,11 @@ def sample_states(ext_or_f, x0, times) -> Trajectory:
     """Sample x' = -grad F(x), x(times[0]) = x0, at ``times``; no speeds.
 
     Dormand-Prince 5(4) with error control (rtol RTOL, atol ATOL). Raises
-    BlowUp when the state norm reaches 1e6 (||x0|| + 1), when the solver
-    fails or makes more than MAX_EVALS evaluations, or when a state is not
-    finite. ``grad_evals`` counts the solver's gradient evaluations. Steps,
-    samples and the escape time are bitwise those of ``solve_ivp`` with
-    ``t_eval`` and a terminal event, without its per-step event bookkeeping.
+    BlowUp when the state norm reaches 1e6 (||x0|| + 1), when the step size
+    falls below 10 float spacings of t or more than MAX_EVALS evaluations
+    are made, or when a state is not finite. ``grad_evals`` counts the
+    gradient evaluations. Steps, samples and the escape time are bitwise
+    those of ``solve_ivp`` with method RK45, ``t_eval`` and a terminal event.
     """
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and len(times) >= 2 and np.isfinite(times).all()
@@ -190,37 +216,151 @@ def sample_states(ext_or_f, x0, times) -> Trajectory:
         return -np.asarray(oracle(x), dtype=float)
 
     samples = []
-    try:
-        # an overflowing trial step is rejected by the error control, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            solver = RK45(velocity, float(times[0]), x0, float(times[-1]),
-                          rtol=RTOL, atol=ATOL)
-            done = 0  # samples taken
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status == "failed":
-                    raise BlowUp(f"flow integration failed: {message}")
-                # the escape gap is positive at x0 (RK45 takes finite states
-                # only), so this is solve_ivp's sign test; a NaN gap fails both,
-                # and the error control rejects every step to a NaN state
-                if limit - math.hypot(*solver.y) <= 0.0:
-                    dense = solver.dense_output()
-                    t = brentq(lambda s: limit - math.hypot(*dense(s)),
-                               solver.t_old, solver.t, xtol=4 * EPS, rtol=4 * EPS)
-                    raise BlowUp(f"state norm exceeds {limit:.3g} at t = {t:.6g}")
-                end = int(np.searchsorted(times, solver.t, side="right"))
-                if end > done:
-                    samples.append(solver.dense_output()(times[done:end]))
-                    done = end
-    finally:
-        # the solver and its right-hand side form a reference cycle that only
-        # the cyclic garbage collector frees; unbinding the oracle keeps that
-        # cycle from holding F (240 kB at N = 5000) past this call
-        oracle = None
+    done = 0  # samples taken
+    # an overflowing trial step is rejected by the error control, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_old, t, y_old, y, K in _dopri_steps(velocity, float(times[0]), x0,
+                                                   float(times[-1])):
+            # the escape gap is positive at x0 (a finite state), so this is
+            # solve_ivp's sign test; a NaN gap fails both, and the error
+            # control rejects every step to a NaN state
+            if limit - math.hypot(*y) <= 0.0:
+                dense = _dense_output(t_old, t, y_old, K)
+                t = _brentq(lambda s: limit - math.hypot(*dense(s)), t_old, t,
+                            4 * EPS, 4 * EPS)
+                raise BlowUp(f"state norm exceeds {limit:.3g} at t = {t:.6g}")
+            end = int(np.searchsorted(times, t, side="right"))
+            if end > done:
+                samples.append(_dense_output(t_old, t, y_old, K)(times[done:end]))
+                done = end
     states = np.hstack(samples).T
     if not np.isfinite(states).all():
         raise BlowUp("flow state is not finite")
     return Trajectory(times=times, states=states, speeds=None, grad_evals=nfev)
+
+
+def _rms(v):
+    """Root-mean-square norm, the error norm of the step-size control."""
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _dopri_steps(fun, t, y, t_bound):
+    """The accepted Dormand-Prince 5(4) steps of y' = fun(t, y) from t to t_bound.
+
+    Yields ``(t_old, t, y_old, y, K)`` per step, K holding the stage
+    derivatives, the last at (t, y); K is overwritten by the next step. The
+    initial step, the error norm and the step-size controller are those of
+    SciPy's ``RK45`` (Hairer, Norsett & Wanner, II.4), operation for
+    operation. Raises BlowUp when a step would fall below 10 spacings of t.
+    """
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound)
+    K = np.empty((len(_C) + 1, len(y)))
+    exponent = -1 / 5  # -1 / (order of the error estimate + 1)
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise BlowUp("flow integration failed: Required step size is "
+                             "less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, len(_C)):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = fun(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = K[-1] = fun(t + h, y_new)
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** exponent))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            rejected = True
+        yield t, t_new, y, y_new, K
+        t, y, f = t_new, y_new, f_new
+
+
+def _initial_step(fun, t0, y0, f0, t_bound):
+    """The first step size, chosen from y0, f0 and one trial evaluation (HNW II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = ATOL + np.abs(y0) * RTOL
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
+def _dense_output(t_old, t, y_old, K):
+    """The step's quartic interpolant: a state at a scalar time, one column
+    per time for an array of times."""
+    Q = K.T.dot(_P)
+    h = t - t_old
+
+    def at(s):
+        x = (s - t_old) / h
+        if np.ndim(x) == 0:
+            return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+        return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+    return at
+
+
+def _brentq(f, xpre, xcur, xtol, rtol):
+    """A root of f between xpre and xcur, at whose ends f has opposite signs.
+
+    Brent's method as SciPy's ``brentq`` runs it (brentq.c): inverse
+    quadratic interpolation or secant steps, bisection when they are slow,
+    to the tolerance xtol + rtol |x|. Raises RuntimeError after 100
+    iterations, ``brentq``'s default limit.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
 @dataclass(frozen=True)
@@ -242,11 +382,42 @@ def roundtrip_error(traj: Trajectory, reparam: ReparamCurve) -> RoundtripMetrics
         for k in range(reparam.points.shape[1])
     ])
     d = np.linalg.norm(traj.states - ref, axis=1)
-    pair = cdist(traj.states, reparam.points)
-    hausdorff = max(float(pair.min(axis=1).max()), float(pair.min(axis=0).max()))
     return RoundtripMetrics(sup_distance=float(d.max()),
                             terminal_distance=float(d[-1]),
-                            hausdorff=hausdorff)
+                            hausdorff=_hausdorff(traj.states, reparam.points))
+
+
+def _hausdorff(a, b) -> float:
+    """Hausdorff distance between the point sets of the rows of a and of b.
+
+    Squared distances are summed in coordinate order, as ``cdist`` sums
+    them, one block of rows of ``a`` at a time; each block gives its rows'
+    minima and lowers the running minima of the columns. sqrt is monotone
+    and correctly rounded, so taking it of the larger of the two maxima alone
+    gives ``cdist``'s distance bit for bit. A block's coordinate differences
+    are one subtraction of contiguous arrays: the block of ``a`` spread along
+    the rows minus ``b`` tiled once down SMALL_BLOCK rows, since numpy
+    subtracts a broadcast column several times more slowly.
+    """
+    d = a.shape[1]
+    row_min = np.empty(len(a))
+    col_min = np.full(len(b), np.inf)
+    block_col_min = np.empty(len(b))
+    b_tile = np.empty((d, min(len(a), SMALL_BLOCK), len(b)))
+    b_tile[...] = b.T[:, None, :]
+
+    def block(i0, i1):
+        diff = scratch((d, i1 - i0, len(b)))
+        diff[...] = a[i0:i1].T[:, :, None]
+        np.subtract(diff, b_tile[:, :i1 - i0], out=diff)
+        sq = np.multiply(diff, diff, out=diff)[0]
+        for k in range(1, d):
+            sq += diff[k]
+        sq.min(axis=1, out=row_min[i0:i1])
+        np.minimum(col_min, sq.min(axis=0, out=block_col_min), out=col_min)
+
+    map_blocks(block, len(a))
+    return math.sqrt(max(float(row_min.max()), float(col_min.max())))
 
 
 def check_flow_self_contracted(f_grad, x0, t_end: float) -> contract.ContractReport:

@@ -9,7 +9,6 @@ increasing scalar functions uses bisection to bracket and Newton to polish.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import QuadratureBudgetExceeded
 
@@ -106,6 +105,45 @@ def invert_monotone(fn, target: float, lo: float, hi: float, deriv=None,
         else:
             x = 0.5 * (a + b)
     return 0.5 * (a + b)
+
+
+def cumulative_simpson(y, *, x, initial: float) -> np.ndarray:
+    """Integrals of the samples y from x[0] to each x[k], plus ``initial``.
+
+    Cartwright's cumulative Simpson rule on a strictly increasing grid of 3
+    or more nodes, as SciPy's ``integrate.cumulative_simpson`` computes it for
+    unequal intervals, operation for operation: each interval's integral is
+    that of the quadratic through it and its right neighbour, and through
+    its left neighbour for every second interval and the last.
+    """
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(np.asarray(x, dtype=float))
+    if len(y) < 3 or len(dx) != len(y) - 1:
+        raise ValueError("cumulative Simpson needs 3 or more samples, one per node")
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")
+    h1 = _simpson_intervals(y, dx)
+    h2 = _simpson_intervals(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(len(dx))
+    parts[:-1:2] = h1[::2]
+    parts[1::2] = h2[::2]
+    parts[-1] = h2[-1]
+    out = np.empty(len(y))
+    out[0] = initial
+    np.cumsum(parts, out=out[1:])
+    out[1:] += initial
+    return out
+
+
+def _simpson_intervals(y, dx):
+    """The integral over each interval [x_k, x_(k+1)], k < n - 2, of the
+    quadratic through the nodes k, k + 1 and k + 2."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
 
 
 class CumulativeTable:

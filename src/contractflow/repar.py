@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from ._scan import mask_lower, pair_gaps, pairwise_min, scratch, tangent_chord
 from .curve import Curve, RegularityEstimate
@@ -25,7 +24,7 @@ from .errors import (
     HypothesisViolated,
     NonPositiveC0,
 )
-from .numint import CumulativeTable, adaptive_simpson, tail_limit_integral
+from .numint import CumulativeTable, adaptive_simpson, cumulative_simpson, tail_limit_integral
 
 B_MIN = 1.0  # rate floor; degenerate curves (C1 = 0) otherwise give b = 0
 ZETA_MIN = 1e-3  # constant majorant standing in for a zero zeta

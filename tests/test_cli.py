@@ -371,7 +371,21 @@ class TestCurveInput:
         # column dropped nor rejected for its tangents
         ("t,x1,tx1,x2\n0,0,1,5\n0.5,0.5,1,7\n1,1,1,9\n", _COLUMNS.format(4)),
         ("t,x1,x2,tx1\n0,0,0,1\n0.5,0.5,0,1\n1,1,0,1\n", _COLUMNS.format(4)),
-    ], ids=["empty", "header-only", "2-columns", "t,x1,tx1,x2", "t,x1,x2,tx1"])
+        # what np.loadtxt cannot read is named by its line, not in NumPy's terms
+        ("t,x1,tx1\n0,0,1\n0.5,0.5,1,3,4\n1,1,1\n",
+         "curve file line 3 has 5 columns, line 2 has 3"),
+        ("s,x1,tx1\n0,0,1\n0.5,0.5,1\n1,1,1\n", "curve file line 1 is neither a header "
+         "starting with 't' nor a row of numbers: 's,x1,tx1'"),
+        ("t,x1,tx1\n0,0,1\n0.5,abc,1\n1,1,1\n",
+         "curve file line 3 is not a row of numbers: '0.5,abc,1'"),
+        # Python's float() reads 1_0, loadtxt does not
+        ("t,x1,tx1\n0,0,1\n0.5,1_0,1\n1,1,1\n",
+         "curve file line 3 is not a row of numbers: '0.5,1_0,1'"),
+        # too few rows get the curve stage's rule, whatever their count
+        ("t,x1,tx1\n0,0,1\n", "a curve needs at least 3 samples"),
+        ("0,0,1,0,1\n1,1,1,0,1\n", "a curve needs at least 3 samples"),
+    ], ids=["empty", "header-only", "2-columns", "t,x1,tx1,x2", "t,x1,x2,tx1", "ragged",
+            "bad-header", "bad-number", "underscore", "one-row", "two-rows"])
     def test_malformed_csv_fails_with_its_cause(self, runner, tmp_path, text, cause):
         csv = tmp_path / "bad.csv"
         csv.write_text(text)

@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+from scipy.spatial.distance import cdist
 
 import contractflow as cf
 from contractflow import cli, flow
@@ -378,6 +380,63 @@ class TestSampleFlowMatchesSolveIvp:
         assert out[0] == "BlowUp" and "step size collapsed" in out[1]
         assert out == _outcome(_solve_ivp_reference, nan_off_start, np.array([1.0, 0.0]),
                                [0.0, 1.0])
+
+
+class TestBrentMatchesScipy:
+    """The Brent port returns SciPy's ``brentq`` root bit for bit."""
+
+    tol = dict(xtol=4 * flow.EPS, rtol=4 * flow.EPS)
+
+    def _both(self, f, a, b):
+        return flow._brentq(f, a, b, 4 * flow.EPS, 4 * flow.EPS), brentq(f, a, b, **self.tol)
+
+    @pytest.mark.parametrize("a,b", [(-3.0, 4.0), (0.5, 2.0), (1.0, 1.7), (-0.9, 0.0)])
+    def test_cubic(self, a, b):
+        got, want = self._both(lambda x: x**3 - 2.0 * x - 1.0, a, b)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_norm_gaps_on_dense_output(self, seed):
+        # limit - ||y(s)|| on the quartic interpolant of one step, as for the escape time
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 3
+        t_old, t = 0.25, 0.25 + rng.uniform(0.05, 2.0)
+        K = rng.standard_normal((7, d))
+        y_old = rng.standard_normal(d)
+        dense = flow._dense_output(t_old, t, y_old, K)
+        lo, hi = math.hypot(*dense(t_old)), math.hypot(*dense(t))
+        assert lo != hi
+        limit = 0.5 * (lo + hi)
+        sign = 1.0 if lo < hi else -1.0
+        got, want = self._both(lambda s: sign * (limit - math.hypot(*dense(s))), t_old, t)
+        assert got == want
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_root_at_an_endpoint(self, a, b):
+        got, want = self._both(lambda x: x - 1.0, a, b)
+        assert got == want == 1.0
+
+
+class TestHausdorffMatchesCdist:
+    """The blocked Hausdorff distance equals the cdist formula bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n,m", [(1, 1), (63, 64), (64, 63), (65, 65), (1, 65),
+                                     (400, 399)])
+    def test_random_point_sets(self, d, n, m):
+        rng = np.random.default_rng(10 * n + d)
+        a = rng.standard_normal((n, d)) * np.logspace(0, 3, d)
+        b = np.asfortranarray(rng.standard_normal((m, d)))
+        pair = cdist(a, b)
+        want = max(float(pair.min(axis=1).max()), float(pair.min(axis=0).max()))
+        assert flow._hausdorff(a, b) == want
+
+    def test_flow_states_against_curve_points(self, arc_extension):
+        ext, rc = arc_extension
+        traj = cf.sample_flow(ext, rc.points[0], rc.times)
+        pair = cdist(traj.states, rc.points)
+        assert cf.roundtrip_error(traj, rc).hausdorff == max(
+            float(pair.min(axis=1).max()), float(pair.min(axis=0).max()))
 
 
 class TestRoundtripError:

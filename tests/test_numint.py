@@ -4,12 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from contractflow import numint
 from contractflow.errors import QuadratureBudgetExceeded
 from contractflow.numint import (
     CumulativeTable,
     adaptive_simpson,
+    cumulative_simpson,
     invert_monotone,
     tail_limit_integral,
 )
@@ -158,3 +160,26 @@ def test_tail_limit_smooth():
     val, conv = tail_limit_integral(math.exp, 0.0, 1.0)
     assert conv
     assert val == pytest.approx(math.e - 1.0, rel=1e-8)
+
+
+class TestCumulativeSimpson:
+    """The port reproduces SciPy's unequal-interval rule bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 1001])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_on_random_grids(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
+        for y in (rng.standard_normal(n), np.exp(x), x**3):
+            got = cumulative_simpson(y, x=x, initial=0.0)
+            want = scipy_cumulative_simpson(y, x=x, initial=0.0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_a_grid_that_does_not_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cumulative_simpson(np.ones(4), x=[0.0, 1.0, 1.0, 2.0], initial=0.0)
+
+    def test_rejects_fewer_than_3_samples(self):
+        with pytest.raises(ValueError, match="3 or more samples"):
+            cumulative_simpson(np.ones(2), x=[0.0, 1.0], initial=0.0)
