@@ -178,8 +178,7 @@ def _jsonable(obj):
 
 def _curve_stage(cfg, report, data) -> bool:
     crv = build_curve(cfg)
-    if crv.n_samples < 3:
-        raise ValueError("a curve needs at least 3 samples")
+    curve_mod.require_samples(crv.n_samples)
     report.results["curve"] = crv
     data.update(dim=crv.dim, n_samples=crv.n_samples, length=crv.length,
                 source=crv.source)

@@ -492,6 +492,12 @@ def third_deriv_bound(curve: Curve, safety_factor: float = 1.25) -> ThirdDerivat
 # ---------------------------------------------------------------------------
 # import/export
 
+def require_samples(n: int) -> None:
+    """ValueError unless a curve of n samples has the 3 that the pipeline needs."""
+    if n < 3:
+        raise ValueError("a curve needs at least 3 samples")
+
+
 def require_finite(what: str, **fields) -> None:
     """ValueError naming the first of ``fields`` that holds a NaN or an infinity."""
     for name, values in fields.items():
@@ -527,8 +533,7 @@ def load_csv(path) -> Curve:
     if k < 3 or k % 2 == 0:
         raise ValueError(f"curve file has {k} columns, expected 1 + 2d "
                          "(t, x_1..x_d, tx_1..tx_d) with d >= 1")
-    if len(data) < 3:
-        raise ValueError("a curve needs at least 3 samples")
+    require_samples(len(data))
     d = (k - 1) // 2
     params, points, tangents = data[:, 0], data[:, 1:1 + d], data[:, 1 + d:]
     require_finite("curve file", t=params, x=points, tx=tangents)

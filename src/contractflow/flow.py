@@ -226,8 +226,7 @@ def sample_states(ext_or_f, x0, times) -> Trajectory:
             # control rejects every step to a NaN state
             if limit - math.hypot(*y) <= 0.0:
                 dense = _dense_output(t_old, t, y_old, K)
-                t = _brentq(lambda s: limit - math.hypot(*dense(s)), t_old, t,
-                            4 * EPS, 4 * EPS)
+                t = _brentq(lambda s: limit - math.hypot(*dense(s)), t_old, t)
                 raise BlowUp(f"state norm exceeds {limit:.3g} at t = {t:.6g}")
             end = int(np.searchsorted(times, t, side="right"))
             if end > done:
@@ -319,13 +318,13 @@ def _dense_output(t_old, t, y_old, K):
     return at
 
 
-def _brentq(f, xpre, xcur, xtol, rtol):
+def _brentq(f, xpre, xcur):
     """A root of f between xpre and xcur, at whose ends f has opposite signs.
 
     Brent's method as SciPy's ``brentq`` runs it (brentq.c): inverse
     quadratic interpolation or secant steps, bisection when they are slow,
-    to the tolerance xtol + rtol |x|. Raises RuntimeError after 100
-    iterations, ``brentq``'s default limit.
+    to the tolerance 4 EPS (1 + |x|), ``brentq`` at xtol = rtol = 4 EPS.
+    Raises RuntimeError after 100 iterations, ``brentq``'s default limit.
     """
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0:
@@ -340,7 +339,7 @@ def _brentq(f, xpre, xcur, xtol, rtol):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (4 * EPS + 4 * EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -462,7 +461,7 @@ def trace_energy(traj: Trajectory, f_value, tol: float = 1e-6) -> EnergyTrace:
     if len(values) < 3:
         residuals = np.zeros_like(values)
     else:
-        cum = cumulative_simpson(traj.speeds**2, x=traj.times, initial=0.0)
+        cum = cumulative_simpson(traj.speeds**2, x=traj.times)
         tail = cum[-1] - cum
         residuals = values - values[-1] - tail
     max_res = float(np.abs(residuals).max())

@@ -107,8 +107,8 @@ def invert_monotone(fn, target: float, lo: float, hi: float, deriv=None,
     return 0.5 * (a + b)
 
 
-def cumulative_simpson(y, *, x, initial: float) -> np.ndarray:
-    """Integrals of the samples y from x[0] to each x[k], plus ``initial``.
+def cumulative_simpson(y, *, x) -> np.ndarray:
+    """Integrals of the samples y from x[0] to each x[k].
 
     Cartwright's cumulative Simpson rule on a strictly increasing grid of 3
     or more nodes, as SciPy's ``integrate.cumulative_simpson`` computes it for
@@ -129,9 +129,9 @@ def cumulative_simpson(y, *, x, initial: float) -> np.ndarray:
     parts[1::2] = h2[::2]
     parts[-1] = h2[-1]
     out = np.empty(len(y))
-    out[0] = initial
+    out[0] = 0.0
     np.cumsum(parts, out=out[1:])
-    out[1:] += initial
+    out[1:] += 0.0  # as SciPy adds its initial 0.0, which turns a -0.0 into 0.0
     return out
 
 
@@ -166,7 +166,7 @@ class CumulativeTable:
     def simpson(cls, nodes, f_nodes):
         """Table from f on the nodes; F by cumulative Simpson over cell pairs."""
         with np.errstate(over="ignore", invalid="ignore"):
-            values = cumulative_simpson(f_nodes, x=nodes, initial=0.0)
+            values = cumulative_simpson(f_nodes, x=nodes)
         return cls(nodes, values, f_nodes)
 
     @property

@@ -275,8 +275,8 @@ def zeta_plan(curve: Curve, c0: float, zeta) -> ReparamPlan:
     L_z = L * (1.0 - 1e-6)
     xg = np.linspace(0.0, L_z, 16385)
     zg = np.asarray(zeta_fn(xg), dtype=float)
-    z_tab = cumulative_simpson(zg, x=xg, initial=0.0)
-    w_tab = cumulative_simpson(z_tab, x=xg, initial=0.0)
+    z_tab = cumulative_simpson(zg, x=xg)
+    w_tab = cumulative_simpson(z_tab, x=xg)
     sliver, _ = tail_limit_integral(lambda u: float(zeta_fn(u)), L_z, L)
     a_eff = float(z_tab[-1]) + max(float(sliver), 0.0)
     scale = 2.0 / c0

@@ -388,7 +388,7 @@ class TestBrentMatchesScipy:
     tol = dict(xtol=4 * flow.EPS, rtol=4 * flow.EPS)
 
     def _both(self, f, a, b):
-        return flow._brentq(f, a, b, 4 * flow.EPS, 4 * flow.EPS), brentq(f, a, b, **self.tol)
+        return flow._brentq(f, a, b), brentq(f, a, b, **self.tol)
 
     @pytest.mark.parametrize("a,b", [(-3.0, 4.0), (0.5, 2.0), (1.0, 1.7), (-0.9, 0.0)])
     def test_cubic(self, a, b):

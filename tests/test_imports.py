@@ -15,6 +15,8 @@ import contractflow
 SRC = str(Path(contractflow.__file__).resolve().parents[1])
 
 SCRIPT = textwrap.dedent("""
+    import contextlib
+    import io
     import sys
 
     import numpy as np
@@ -26,6 +28,13 @@ SCRIPT = textwrap.dedent("""
     from contractflow import cli
 
     assert not scipy_modules(), ("import", scipy_modules())
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        try:
+            cli.main(["run", "--gen", "circle", "--plan", "endpoint"])
+        except SystemExit as stop:
+            assert stop.code == 0, ("cli", stop.code)
+    assert '"exit_code": 0' in printed.getvalue(), printed.getvalue()
+    assert not scipy_modules(), ("cli", scipy_modules())
     for gen, plan in (("circle", "exp"), ("segment", "endpoint")):
         report = cli.run_pipeline(cli.PipelineConfig(generator=gen, plan_kind=plan,
                                                      n_samples=200))

@@ -171,15 +171,22 @@ class TestCumulativeSimpson:
         rng = np.random.default_rng(seed)
         x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
         for y in (rng.standard_normal(n), np.exp(x), x**3):
-            got = cumulative_simpson(y, x=x, initial=0.0)
+            got = cumulative_simpson(y, x=x)
             want = scipy_cumulative_simpson(y, x=x, initial=0.0)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_signed_zeros_match_scipy(self):
+        # SciPy adds its initial 0.0 to every integral, which turns a -0.0 into 0.0
+        x = np.array([0.0, 0.5, 1.5, 2.0])
+        y = np.array([-0.0, -0.0, 0.0, -0.0])
+        want = scipy_cumulative_simpson(y, x=x, initial=0.0)
+        assert cumulative_simpson(y, x=x).tobytes() == want.tobytes()
+
     def test_rejects_a_grid_that_does_not_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            cumulative_simpson(np.ones(4), x=[0.0, 1.0, 1.0, 2.0], initial=0.0)
+            cumulative_simpson(np.ones(4), x=[0.0, 1.0, 1.0, 2.0])
 
     def test_rejects_fewer_than_3_samples(self):
         with pytest.raises(ValueError, match="3 or more samples"):
-            cumulative_simpson(np.ones(2), x=[0.0, 1.0], initial=0.0)
+            cumulative_simpson(np.ones(2), x=[0.0, 1.0])
