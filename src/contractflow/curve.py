@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._scan import map_blocks, mask_lower, pair_gaps, scratch
+from ._spline import not_a_knot
 from .errors import (
     DegenerateCurve,
     DuplicatePoint,
@@ -137,12 +138,7 @@ class Curve:
     def _geom(self) -> _Geometry:
         if self.geometry is None:
             # direct-constructed curve: fit a spline through the stored samples
-            from scipy.interpolate import CubicSpline  # see from_samples
-
-            cs = CubicSpline(self.params, self.points, axis=0)
-            dcs = cs.derivative()
-            geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(dcs, self.params))
-            object.__setattr__(self, "geometry", geom)
+            object.__setattr__(self, "geometry", _spline_geometry(self.params, self.points))
         return self.geometry
 
     def _clamp(self, t):
@@ -203,6 +199,13 @@ class ThirdDerivativeBound:
         return np.interp(t, self.params, running)
 
 
+def _spline_geometry(knots, points) -> _Geometry:
+    """Not-a-knot cubic spline through ``points`` at the raw parameters ``knots``."""
+    spline = not_a_knot(knots, points)
+    dspline = spline.derivative()
+    return _Geometry(gamma=spline, dgamma=dspline, arcmap=_ArcLengthMap(dspline, knots))
+
+
 def _resample(geom: _Geometry, n: int, source: str) -> Curve:
     s = np.linspace(0.0, geom.arcmap.total, n)
     u = geom.arcmap.u_of_s(s)
@@ -240,14 +243,7 @@ def from_samples(raw_points, n_resample: int) -> Curve:
     if n_resample < 2:
         raise ValueError("n_resample must be at least 2")
     chord = np.concatenate([[0.0], np.cumsum(seg)])
-    # imported here: SciPy's interpolate module adds about 51 MB and 0.8 s to a process,
-    # which only curves fitted through samples pay
-    from scipy.interpolate import CubicSpline
-
-    cs = CubicSpline(chord, pts, axis=0)
-    dcs = cs.derivative()
-    geom = _Geometry(gamma=cs, dgamma=dcs, arcmap=_ArcLengthMap(dcs, chord))
-    return _resample(geom, n_resample, "sampled")
+    return _resample(_spline_geometry(chord, pts), n_resample, "sampled")
 
 
 def _from_evaluators(gamma, dgamma, domain, n_samples: int, d3gamma=None) -> Curve:

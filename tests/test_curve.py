@@ -1,10 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import contractflow as cf
+from contractflow._spline import not_a_knot
 from contractflow.errors import (
     DegenerateCurve,
     DuplicatePoint,
@@ -41,6 +44,90 @@ class TestFromSamples:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             cf.from_samples([(0, 0), (1, 0)], 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cf.from_samples([(0, 0), (1, bad), (2, 0), (3, 1)], 5)
+
+
+def _spacings(kind, rng, n):
+    if kind == "uniform":
+        return rng.uniform(0.1, 1.0, n - 1)
+    if kind == "heavy":
+        return rng.pareto(0.7, n - 1) + 1e-3
+    # on the not-a-knot system the pivot of row 1 is h0 + h1, which h2 = 100
+    # exceeds: dgtsv interchanges rows 1 and 2, and every third row after
+    return np.resize([1.0, 1.0, 100.0], n - 1) * rng.uniform(0.9, 1.1, n - 1)
+
+
+def _ulps_off(got, want):
+    """Largest error in ulps of each column's largest magnitude."""
+    return float((np.abs(got - want) / np.spacing(np.abs(want).max(axis=0))).max())
+
+
+class TestNotAKnot:
+    """The in-repo spline is SciPy's ``CubicSpline(x, y, axis=0)`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 6, 50, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "heavy", "interchange"])
+    def test_matches_cubic_spline(self, n, d, kind):
+        rng = np.random.default_rng([n, d, len(kind)])
+        x = np.concatenate([[0.0], np.cumsum(_spacings(kind, rng, n))]) + rng.normal()
+        y = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        got, want = not_a_knot(x, y), CubicSpline(x, y, axis=0)
+        assert _bitwise(got.c, want.c)
+        span = x[-1] - x[0]
+        u = np.concatenate([rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span, 300),
+                            x, [math.nan]])
+        for f, g in ((got, want), (got.derivative(), want.derivative())):
+            assert _bitwise(f(u), g(u))
+            assert _bitwise(f(u[7]), g(u[7]))
+        assert np.isnan(got(u[-1])).all()
+
+    def test_three_knots_give_the_parabola(self):
+        # SciPy solves the 3 x 3 system with a dense LU; the closed-form
+        # parabola is exact to a few ulps, where that solve drifts by
+        # thousands on uneven spacings (8 at most on the moderate ones here)
+        rng = np.random.default_rng(3)
+        for k in range(300):
+            h = rng.uniform(0.2, 1.0, 2) if k % 2 else np.exp(rng.normal(0.0, 3.0, 2))
+            x = np.concatenate([[0.0], np.cumsum(h)]) + rng.normal()
+            y = rng.normal(size=(3, 2))
+            slopes = not_a_knot(x, y).derivative()(x)
+            xs = [Fraction(v) for v in x]
+            exact = []
+            for col in y.T:
+                ys = [Fraction(v) for v in col]
+                m0, m1 = ((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in (0, 1))
+                curv = (m1 - m0) / (xs[2] - xs[0])
+                exact.append([m0 - curv * (xs[1] - xs[0]), m0 + curv * (xs[1] - xs[0]),
+                              m1 + curv * (xs[2] - xs[1])])
+            assert _ulps_off(slopes, np.array(exact, dtype=float).T) <= 8
+            if k % 2:
+                scipy_slopes = CubicSpline(x, y, axis=0).derivative()(x)
+                assert _ulps_off(slopes, scipy_slopes) <= 16
+
+    @pytest.mark.parametrize("x, y, match", [
+        ([0.0, 1.0, 1.0, 2.0], np.zeros((4, 2)), "strictly increasing"),
+        ([0.0, 2.0, 1.0, 3.0], np.zeros((4, 2)), "strictly increasing"),
+        ([0.0, math.nan, 1.0, 2.0], np.zeros((4, 2)), "finite"),
+        ([0.0, 1.0, 2.0, math.inf], np.zeros((4, 2)), "finite"),
+        ([0.0, 1.0, 2.0, 3.0], [[0, 0], [1, math.nan], [2, 0], [3, 0]], "finite"),
+    ])
+    def test_rejects_what_cubic_spline_rejects(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            not_a_knot(x, y)
+        with pytest.raises(ValueError, match=match):
+            CubicSpline(x, y, axis=0)
+
+    def test_curve_with_a_nan_parameter_fails_its_fit(self):
+        # NaN passes Curve's increasing check (every comparison is False)
+        crv = cf.Curve(params=[0.0, math.nan, 2.0], points=np.zeros((3, 2)),
+                       tangents=[[1.0, 0.0]] * 3)
+        with pytest.raises(ValueError, match="finite"):
+            crv.point_at(1.0)
 
 
 class TestMakeAnalytic:
