@@ -26,6 +26,9 @@ EXIT_M = 4
 EXIT_C = 5
 EXIT_FLOW = 6
 
+# the flow stage passes when the flow stays this close to the reparameterized curve
+ROUNDTRIP_TOL = 5e-2
+
 _STAGE_EXIT = {"curve": EXIT_CONFIG, "contract": EXIT_CONTRACT, "repar": EXIT_M,
                "extend": EXIT_C, "flow": EXIT_FLOW}
 
@@ -41,15 +44,11 @@ class PipelineConfig:
     seg_length: float = 1.0
     n_samples: int = 200
     alpha: float = 1.0
-    safety: float = 1.25
     plan_kind: str = "exp"
     b_override: float | None = None
     eps: float | None = None
     eps_rel: float = 1e-3
     n_out: int = 400
-    n_triples: int = 100_000
-    seed: int = 0
-    roundtrip_tol: float = 5e-2
 
     def validate(self) -> None:
         if (self.generator is None) == (self.input_path is None):
@@ -60,8 +59,7 @@ class PipelineConfig:
             raise ConfigError("n_samples must be at least 3")
         if not self.n_out >= 2:
             raise ConfigError("n_out must be at least 2")
-        for name in ("safety", "eps_rel", "n_triples", "lam",
-                     "tmax", "angle", "radius", "seg_length", "roundtrip_tol"):
+        for name in ("eps_rel", "lam", "tmax", "angle", "radius", "seg_length"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.plan_kind not in ("exp", "endpoint", "zeta"):
@@ -94,10 +92,10 @@ def build_curve(cfg: PipelineConfig) -> curve_mod.Curve:
 def _build_plan(cfg: PipelineConfig, crv, c0: float):
     if cfg.b_override is not None:
         return repar.exponential_plan_with_rate(crv, cfg.b_override), None
-    reg = curve_mod.holder_seminorm(crv, cfg.alpha, cfg.safety)
+    reg = curve_mod.holder_seminorm(crv, cfg.alpha)
     if cfg.plan_kind == "exp":
         return repar.exponential_plan(crv, reg, c0), reg
-    tdb = curve_mod.third_deriv_bound(crv, cfg.safety)
+    tdb = curve_mod.third_deriv_bound(crv)
     if cfg.plan_kind == "endpoint":
         return repar.endpoint_plan(crv, c0, tdb.c1_cubic), reg
     return repar.zeta_plan(crv, c0, tdb.zeta), reg
@@ -186,8 +184,7 @@ def _curve_stage(cfg, report, data) -> bool:
 
 
 def _contract_stage(cfg, report, data) -> bool:
-    crep = contract.classify(report.results["curve"], n_triples=cfg.n_triples,
-                             seed=cfg.seed)
+    crep = contract.classify(report.results["curve"])
     report.results["contract"] = crep
     report.constants["c0"] = _jsonable(crep.c0)
     data.update(_jsonable(crep))
@@ -233,7 +230,7 @@ def _flow_stage(cfg, report, data) -> bool:
     data.update(horizon=horizon, eps=ext.smoothing_eps,
                 grad_evals=traj.grad_evals + speed_evals, final_speed=speed,
                 **_jsonable(metrics))
-    return metrics.sup_distance <= cfg.roundtrip_tol
+    return metrics.sup_distance <= ROUNDTRIP_TOL
 
 
 _STAGES = {"curve": _curve_stage, "contract": _contract_stage,
@@ -293,7 +290,6 @@ _plan_options = _options(
     click.option("--kind", "--plan", "plan_kind",
                  type=click.Choice(["exp", "endpoint", "zeta"])),
     click.option("--alpha", type=float),
-    click.option("--safety", type=float),
     click.option("--b", "b_override", type=float,
                  help="Bypass the certified rate formula."),
 )
@@ -305,10 +301,6 @@ _extend_options = _options(
 _flow_options = _options(
     _extend_options,
     click.option("--n-out", type=int),
-)
-_triple_options = _options(
-    click.option("--n-triples", type=int),
-    click.option("--seed", type=int),
 )
 _output_option = click.option("-o", "--output", type=click.Path())
 
@@ -386,7 +378,6 @@ def gen(output, **kwargs):
 @click.option("--level", "wanted",
               type=click.Choice([lv.value for lv in contract.ContractLevel]),
               default="strongly", help="Required contractedness level.")
-@_triple_options
 @_output_option
 def check(wanted, output, **kwargs):
     """Classify a curve's self-contractedness; exit 3 if below --level."""
@@ -487,7 +478,6 @@ def flow_cmd(ext_path, x0, t_end, dt, output):
 
 @main.command("roundtrip")
 @_flow_options
-@click.option("--tol", "roundtrip_tol", type=float)
 @_output_option
 def roundtrip_cmd(output, **kwargs):
     """Reparameterize, integrate the extension flow, compare; exit 6 on miss."""
@@ -498,8 +488,6 @@ def roundtrip_cmd(output, **kwargs):
 
 @main.command("run")
 @_flow_options
-@_triple_options
-@click.option("--roundtrip-tol", type=float)
 @click.option("--report", "report_path", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def run(report_path, fmt, **kwargs):

@@ -32,21 +32,14 @@ class ContractLevel(enum.Enum):
 
     @property
     def rank(self) -> int:
-        return _LEVEL_RANK[self]
+        """Position in the hierarchy: the declaration order, weakest first."""
+        return list(ContractLevel).index(self)
 
     def __ge__(self, other):
         return self.rank >= other.rank
 
     def __gt__(self, other):
         return self.rank > other.rank
-
-
-_LEVEL_RANK = {
-    ContractLevel.NOT_SELF_CONTRACTED: 0,
-    ContractLevel.SELF_CONTRACTED: 1,
-    ContractLevel.STRONGLY: 2,
-    ContractLevel.UNIFORMLY_STRONGLY: 3,
-}
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,7 @@ class Curve:
             raise ValueError("inconsistent curve arrays")
         if len(params) != len(points) or len(params) < 2:
             raise ValueError("need at least 2 samples with matching params")
+        require_finite("curve", params=params, points=points, tangents=tangents)
         if abs(params[0]) > 1e-12:
             raise ValueError("arc-length parameters must start at 0")
         if np.any(np.diff(params) <= 0):
@@ -275,9 +276,7 @@ def make_analytic(gamma, gamma_prime, domain, n_samples: int,
 
 def resample(curve: Curve, n: int) -> Curve:
     """Resample to n points through the curve's own geometry."""
-    if curve.geometry is not None:
-        return _resample(curve.geometry, n, curve.source)
-    return from_samples(curve.points, n)
+    return _resample(curve._geom(), n, curve.source)
 
 
 def _rows(*coords):
@@ -345,8 +344,7 @@ def log_spiral_arclength(lam: float, t_max: float) -> float:
 def log_spiral_critical_lambda() -> float:
     """Root of lam = e^{-3 pi lam / 2}, the spiral classification threshold."""
     g = lambda lam: lam - math.exp(-1.5 * math.pi * lam)
-    dg = lambda lam: 1.0 + 1.5 * math.pi * math.exp(-1.5 * math.pi * lam)
-    root = invert_monotone(g, 0.0, 1e-4, 1.0, deriv=dg, tol=1e-15)
+    root = invert_monotone(g, 0.0, 1e-4, 1.0)
     assert abs(g(root)) < 1e-10
     return root
 

@@ -24,7 +24,7 @@ from ._scan import SMALL_BLOCK, map_blocks, scratch
 from .curve import Curve, from_samples
 from .errors import BlowUp, IdentityViolated
 from .extend import ConvexExtension, eval_grad
-from .numint import cumulative_simpson
+from .numint import brentq, cumulative_simpson
 from .repar import ReparamCurve
 
 GRAD_STOP = 1e-8
@@ -35,8 +35,6 @@ ATOL = 1e-9
 MAX_EVALS = 100_000
 # samples per eval_grad call when sample_flow evaluates an extension's speeds
 SPEED_ROWS = 64
-# the escape time is solved to 4 EPS, as solve_ivp solves for its event times
-EPS = np.finfo(float).eps
 # Dormand-Prince 5(4): stage times C, stage weights A, fifth-order weights B,
 # error weights E (fifth minus fourth order, the last on the step's final
 # derivative) and the dense-output polynomial P with Shampine's (1986) c_6
@@ -226,7 +224,7 @@ def sample_states(ext_or_f, x0, times) -> Trajectory:
             # control rejects every step to a NaN state
             if limit - math.hypot(*y) <= 0.0:
                 dense = _dense_output(t_old, t, y_old, K)
-                t = _brentq(lambda s: limit - math.hypot(*dense(s)), t_old, t)
+                t = brentq(lambda s: limit - math.hypot(*dense(s)), t_old, t)
                 raise BlowUp(f"state norm exceeds {limit:.3g} at t = {t:.6g}")
             end = int(np.searchsorted(times, t, side="right"))
             if end > done:
@@ -316,50 +314,6 @@ def _dense_output(t_old, t, y_old, K):
             return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
         return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
     return at
-
-
-def _brentq(f, xpre, xcur):
-    """A root of f between xpre and xcur, at whose ends f has opposite signs.
-
-    Brent's method as SciPy's ``brentq`` runs it (brentq.c): inverse
-    quadratic interpolation or secant steps, bisection when they are slow,
-    to the tolerance 4 EPS (1 + |x|), ``brentq`` at xtol = rtol = 4 EPS.
-    Raises RuntimeError after 100 iterations, ``brentq``'s default limit.
-    """
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (4 * EPS + 4 * EPS * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Quadrature, cumulative tables and monotone inversion.
+"""Quadrature, cumulative tables and scalar roots.
 
 Adaptive Simpson with the classical 15x error rule integrates scalar
 functions with no closed form; ``CumulativeTable`` tabulates an integral once
-and answers forward and inverse queries on whole arrays; inversion of
-increasing scalar functions uses bisection to bracket and Newton to polish.
+and answers forward and inverse queries on whole arrays; scalar roots, the
+inverses of increasing scalar functions among them, come from Brent's method.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .errors import QuadratureBudgetExceeded
 MAX_EVALS = 100_000
 # times adaptive_simpson may halve a cell
 MAX_DEPTH = 48
+# brentq solves to 4 EPS, as solve_ivp solves for its event times
+EPS = np.finfo(float).eps
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
@@ -68,43 +70,62 @@ def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth, budget):
     )
 
 
-def invert_monotone(fn, target: float, lo: float, hi: float, deriv=None,
-                    tol: float = 1e-12) -> float:
-    """Solve fn(x) = target for increasing fn on [lo, hi].
+def invert_monotone(fn, target: float, lo: float, hi: float) -> float:
+    """Solve fn(x) = target for increasing fn on [lo, hi] by ``brentq``.
 
-    Bisection narrows the bracket; once inside, Newton (when ``deriv`` is
-    given) converges quadratically. ``tol`` is relative to the bracket width;
-    after 200 iterations the bracket's midpoint is returned.
+    Returns lo when fn(lo) >= target and hi when fn(hi) <= target.
     """
-    flo = fn(lo) - target
-    if flo >= 0.0:
+    f = lambda x: fn(x) - target
+    if f(lo) >= 0.0:
         return lo
-    fhi = fn(hi) - target
-    if fhi <= 0.0:
+    if f(hi) <= 0.0:
         return hi
-    scale = max(abs(hi - lo), 1.0)
-    a, b = lo, hi
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        fx = fn(x) - target
-        if fx > 0.0:
-            b = x
-        elif fx < 0.0:
-            a = x
+    return brentq(f, lo, hi)
+
+
+def brentq(f, xpre, xcur):
+    """A root of f between xpre and xcur, at whose ends f has opposite signs.
+
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4) as SciPy's ``brentq`` runs it (brentq.c): inverse
+    quadratic interpolation or secant steps, bisection when they are slow,
+    to the tolerance 4 EPS (1 + |x|), ``brentq`` at xtol = rtol = 4 EPS.
+    Raises RuntimeError after 100 iterations, ``brentq``'s default limit.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (4 * EPS + 4 * EPS * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            return x
-        if b - a <= tol * scale:
-            return 0.5 * (a + b)
-        step = None
-        if deriv is not None:
-            d = deriv(x)
-            if d > 0.0:
-                step = x - fx / d
-        if step is not None and a < step < b:
-            x = step
-        else:
-            x = 0.5 * (a + b)
-    return 0.5 * (a + b)
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
 def cumulative_simpson(y, *, x) -> np.ndarray:

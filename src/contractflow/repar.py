@@ -125,6 +125,20 @@ def exponential_plan_with_rate(curve: Curve, b: float) -> ReparamPlan:
     return _exponential(curve, b, None, None)
 
 
+def _phi_profile(phi, dphi):
+    """The evaluators m = e^phi / phi', 1/m and int_t^s 1/m = e^{-phi(t)} - e^{-phi(s)}
+    of a profile with increasing phi; m is +inf where phi' is not positive."""
+
+    def m(t):
+        with np.errstate(over="ignore", divide="ignore"):
+            d = dphi(t)
+            return np.where(d > 0.0, np.exp(phi(t)) / np.where(d > 0.0, d, 1.0), np.inf)
+
+    inv_m = lambda t: dphi(t) * np.exp(-phi(t))
+    inv_m_integral = lambda t, s: np.exp(-phi(t)) - np.exp(-phi(s))
+    return m, inv_m, inv_m_integral
+
+
 def endpoint_plan(curve: Curve, c0: float, c1_cubic: float) -> ReparamPlan:
     """Endpoint profile m(t) = e^{phi(t)} / (b (L - t)), phi = b (L t - t^2/2).
 
@@ -147,13 +161,8 @@ def endpoint_plan(curve: Curve, c0: float, c1_cubic: float) -> ReparamPlan:
     def dphi(t):
         return b * (L - np.asarray(t, dtype=float))
 
-    def m(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            return np.where(t < L, np.exp(phi(t)) / np.where(t < L, dphi(t), 1.0), np.inf)
-
-    inv_m = lambda t: dphi(t) * np.exp(-phi(t))
-    inv_m_integral = lambda t, s: np.exp(-phi(t)) - np.exp(-phi(s))
+    # b >= 1, so phi' = b (L - t) > 0 exactly where t < L
+    m, inv_m, inv_m_integral = _phi_profile(phi, dphi)
 
     def lhs(t, s, out=None):
         # -expm1(-delta) / phi'(t), delta = b (s - t) (L - (s + t) / 2)
@@ -295,13 +304,7 @@ def zeta_plan(curve: Curve, c0: float, zeta) -> ReparamPlan:
         # linear continuation over the capped sliver near L
         return np.where(t > L_z, phi_end + dphi_end * (t - L_z), base)
 
-    def m(t):
-        with np.errstate(over="ignore", divide="ignore"):
-            d = dphi(t)
-            return np.where(d > 0.0, np.exp(phi(t)) / np.where(d > 0.0, d, 1.0), np.inf)
-
-    inv_m = lambda t: dphi(t) * np.exp(-phi(t))
-    inv_m_integral = lambda t, s: np.exp(-phi(t)) - np.exp(-phi(s))
+    m, inv_m, inv_m_integral = _phi_profile(phi, dphi)
 
     def lhs(t, s, out=None):
         # -expm1(-(phi(s) - phi(t))) / phi'(t)
@@ -429,8 +432,6 @@ class ReparamCurve:
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    plan: ReparamPlan = field(repr=False, compare=False)
-    curve: Curve = field(repr=False, compare=False)
 
     @property
     def speeds(self) -> np.ndarray:
@@ -450,5 +451,4 @@ def reparameterize(curve: Curve, plan: ReparamPlan, n_out: int,
     s = np.linspace(0.0, min(t_horizon, plan.T), n_out)
     ts = np.clip(plan.theta_inv(s), 0.0, plan.L)
     vel = curve.tangent_at(ts) * np.asarray(plan.inv_m(ts), dtype=float)[:, None]
-    return ReparamCurve(times=s, points=curve.point_at(ts), velocities=vel, plan=plan,
-                        curve=curve)
+    return ReparamCurve(times=s, points=curve.point_at(ts), velocities=vel)

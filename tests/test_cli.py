@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from contractflow import contract, extend, flow, repar
-from contractflow.cli import _jsonable, main
+from contractflow.cli import PipelineConfig, _jsonable, main
 
 
 @pytest.fixture
@@ -29,8 +30,7 @@ class TestRun:
 
     def test_subcritical_spiral_exits_3(self, runner):
         res = runner.invoke(main, ["run", "--gen", "spiral", "--lambda", "0.1",
-                                   "--tmax", "12.566", "--n", "300",
-                                   "--n-triples", "20000"])
+                                   "--tmax", "12.566", "--n", "300"])
         assert res.exit_code == 3
         doc = json.loads(res.output)
         assert doc["stages"][-1]["name"] == "contract"
@@ -60,23 +60,21 @@ class TestRun:
         assert res.exit_code == 2
 
     def test_deterministic_reports(self, runner):
-        args = ["run", "--gen", "segment", "--n", "100", "--seed", "7",
-                "--n-triples", "5000"]
+        args = ["run", "--gen", "segment", "--n", "100"]
         out1 = runner.invoke(main, args).output
         out2 = runner.invoke(main, args).output
         assert out1 == out2
 
     def test_text_format_lists_stages_in_order(self, runner):
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", "100",
-                                   "--format", "text", "--n-triples", "2000"])
+                                   "--format", "text"])
         assert res.exit_code == 0
         lines = [ln for ln in res.output.splitlines() if ln.startswith("[")]
         names = [ln.split("]")[0][1:] for ln in lines]
         assert names == ["curve", "contract", "repar", "extend", "flow"]
 
     def test_json_roundtrips_through_parse(self, runner):
-        res = runner.invoke(main, ["run", "--gen", "segment", "--n", "100",
-                                   "--n-triples", "2000"])
+        res = runner.invoke(main, ["run", "--gen", "segment", "--n", "100"])
         doc = json.loads(res.output)
         assert json.loads(json.dumps(doc, sort_keys=True)) == doc
         assert doc["schema_version"] == 1
@@ -84,7 +82,6 @@ class TestRun:
     def test_report_file(self, runner, tmp_path):
         path = tmp_path / "report.json"
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", "100",
-                                   "--n-triples", "2000",
                                    "--report", str(path)])
         assert res.exit_code == 0
         assert json.loads(path.read_text())["passed"] is True
@@ -97,16 +94,14 @@ class TestGenCheck:
                                    "--n", "150", "-o", str(csv)])
         assert res.exit_code == 0, res.output
         res = runner.invoke(main, ["check", "--input", str(csv),
-                                   "--level", "strongly",
-                                   "--n-triples", "5000"])
+                                   "--level", "strongly"])
         assert res.exit_code == 0
         doc = json.loads(res.output)
         assert doc["level"] == "uniformly_strongly"
 
     def test_check_level_not_met(self, runner):
         res = runner.invoke(main, ["check", "--gen", "spiral", "--lambda", "0.1",
-                                   "--n", "200", "--level", "strongly",
-                                   "--n-triples", "5000"])
+                                   "--n", "200", "--level", "strongly"])
         assert res.exit_code == 3
 
     def test_gen_json_form(self, runner, tmp_path):
@@ -121,7 +116,7 @@ class TestGenCheck:
         res = runner.invoke(main, ["gen", "--gen", "circle", "--n", "50", "-o", str(js)])
         assert res.exit_code == 0, res.output
         assert json.loads(js.read_text())["dim"] == 2
-        res = runner.invoke(main, ["check", "--input", str(js), "--n-triples", "5000"])
+        res = runner.invoke(main, ["check", "--input", str(js)])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["level"] == "uniformly_strongly"
 
@@ -256,8 +251,7 @@ class TestStagedProjections:
             assert res.exit_code == 3, cmd
             assert res.stderr == ("contract stage failed: the curve is "
                                   "self_contracted, not uniformly_strongly\n")
-        res = runner.invoke(main, ["check"] + HALF_CIRCLE + ["--n-triples", "500",
-                                                             "--level", "self_contracted"])
+        res = runner.invoke(main, ["check"] + HALF_CIRCLE + ["--level", "self_contracted"])
         assert res.exit_code == 0
         assert json.loads(res.stdout)["level"] == "self_contracted"
 
@@ -265,7 +259,7 @@ class TestStagedProjections:
         args = ["--gen", "circle", "--angle", "2.5", "--n", "80"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = runner.invoke(main, ["run"] + args + ["--n-triples", "500"])
+            res = runner.invoke(main, ["run"] + args)
             rt = runner.invoke(main, ["roundtrip"] + args)
         assert res.exit_code == 6
         doc = json.loads(res.stdout)
@@ -294,13 +288,30 @@ class TestStagedProjections:
         res = runner.invoke(main, ["run", "--gen", "segment", "--dt-factor", "0.01"])
         assert res.exit_code == 2 and "--dt-factor" in res.stderr
 
+    @pytest.mark.parametrize("flag, value, commands", [
+        ("--safety", "1.0", ["build-m", "verify-m", "extend", "roundtrip", "run"]),
+        ("--roundtrip-tol", "0.1", ["run"]),
+        ("--tol", "0.1", ["roundtrip"]),
+        ("--n-triples", "500", ["check", "run"]),
+        ("--seed", "1", ["check", "run"]),
+    ], ids=["safety", "roundtrip-tol", "tol", "n-triples", "seed"])
+    def test_fixed_settings_are_not_options(self, runner, flag, value, commands):
+        for cmd in commands:
+            res = runner.invoke(main, [cmd, "--gen", "segment", flag, value])
+            assert res.exit_code == 2 and flag in res.stderr, cmd
+
+    def test_pipeline_config_fields(self):
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "generator", "input_path", "lam", "tmax", "angle", "radius", "seg_length",
+            "n_samples", "alpha", "plan_kind", "b_override", "eps", "eps_rel", "n_out"]
+
     def test_zeta_horizon_at_0999_L_is_tabulated(self, runner):
         # N = 1000 puts t_(N-2) within one grid step of 0.999 L, and N = 1500
         # past it: the flow runs to the tabulated horizon instead of failing
         # on theta_inv
         for n in ("1000", "1500"):
             res = runner.invoke(main, ["run", "--gen", "circle", "--plan", "zeta",
-                                       "--n", n, "--n-triples", "500"])
+                                       "--n", n])
             assert res.exit_code in (0, 6) and isinstance(res.exception, SystemExit)
             flow = json.loads(res.stdout)["stages"][-1]
             assert flow["name"] == "flow" and "error" not in flow["data"], n
@@ -308,7 +319,7 @@ class TestStagedProjections:
 
     def test_unsmoothed_extension_fails_flow_stage(self, runner):
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", "50",
-                                   "--n-triples", "500", "--eps", "0"])
+                                   "--eps", "0"])
         assert res.exit_code == 6
         assert "eps = 0" in json.loads(res.stdout)["stages"][-1]["data"]["error"]
 
@@ -574,11 +585,11 @@ def _invoke(runner, args):
 
 
 @given(curve=curve_args(), options=pipeline_options,
-       prefix=st.sampled_from(sorted(PREFIX_STAGE)), n_triples=st.integers(1, 2000))
+       prefix=st.sampled_from(sorted(PREFIX_STAGE)))
 @settings(max_examples=25, deadline=None)
 @example(curve=["--gen", "circle", "--n", "3", "--angle", "3.140625"], options={},
-         prefix="build-m", n_triples=1000)
-def test_staged_subcommands_fuzz(curve, options, prefix, n_triples):
+         prefix="build-m")
+def test_staged_subcommands_fuzz(curve, options, prefix):
     runner = CliRunner()
     args = curve + _flags(options)
     run_res = _invoke(runner, ["run"] + args)
@@ -594,4 +605,4 @@ def test_staged_subcommands_fuzz(curve, options, prefix, n_triples):
             expect = 0
     prefix_args = curve + _flags(options, PREFIX_OPTIONS[prefix])
     assert _invoke(runner, [prefix] + prefix_args).exit_code == expect
-    _invoke(runner, ["check"] + curve + ["--n-triples", str(n_triples)])
+    _invoke(runner, ["check"] + curve)

@@ -122,12 +122,18 @@ class TestNotAKnot:
         with pytest.raises(ValueError, match=match):
             CubicSpline(x, y, axis=0)
 
-    def test_curve_with_a_nan_parameter_fails_its_fit(self):
-        # NaN passes Curve's increasing check (every comparison is False)
-        crv = cf.Curve(params=[0.0, math.nan, 2.0], points=np.zeros((3, 2)),
-                       tangents=[[1.0, 0.0]] * 3)
-        with pytest.raises(ValueError, match="finite"):
-            crv.point_at(1.0)
+    @pytest.mark.parametrize("field, values", [
+        ("params", [0.0, math.nan, 2.0]),
+        ("tangents", [[1.0, 0.0], [math.nan, 0.0], [1.0, 0.0]]),
+    ], ids=["params", "tangents"])
+    def test_curve_with_a_nan_entry_is_rejected(self, field, values):
+        # NaN would pass the increasing and unit-tangent checks (every
+        # comparison with NaN is False), so construction names it first
+        arrays = dict(params=[0.0, 1.0, 2.0], points=np.zeros((3, 2)),
+                      tangents=[[1.0, 0.0]] * 3)
+        arrays[field] = values
+        with pytest.raises(ValueError, match=f"curve: {field} is not finite at sample 1"):
+            cf.Curve(**arrays)
 
 
 class TestMakeAnalytic:
@@ -303,6 +309,16 @@ class TestInvariants:
         sampled = cf.from_samples(crv.points, 100)
         finer = cf.curve.resample(sampled, 400)
         assert finer.length == pytest.approx(sampled.length, rel=1e-3)
+
+    def test_resample_of_a_csv_curve_lies_on_its_geometry(self, tmp_path):
+        # a curve file has no exact evaluators: resample goes through the same
+        # spline as point_at, so the resampled points are point_at's exactly
+        path = tmp_path / "arc.csv"
+        cf.curve.save_csv(cf.make_circle_arc(), path)
+        crv = cf.curve.load_csv(path)
+        fine = cf.curve.resample(crv, 50)
+        assert fine.length == crv.length
+        np.testing.assert_array_equal(fine.points, crv.point_at(fine.params))
 
     def test_cumulative_chord_close_to_length(self, quarter_circle):
         seg = np.linalg.norm(np.diff(quarter_circle.points, axis=0), axis=1)

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.spatial.distance import cdist
 
 import contractflow as cf
-from contractflow import cli, flow
+from contractflow import cli, flow, numint
 from contractflow.contract import ContractLevel
 from contractflow.errors import BlowUp, IdentityViolated
 from contractflow.flow import Trajectory
@@ -172,7 +172,7 @@ class TestPipelineFlow:
         {"generator": "circle", "plan_kind": "zeta"},
     ])
     def test_sup_distance_matches_a_dop853_reference(self, kwargs):
-        report = cli.run_pipeline(cli.PipelineConfig(n_triples=2000, **kwargs))
+        report = cli.run_pipeline(cli.PipelineConfig(**kwargs))
         res = report.results
         ext = res["extension"]
         rc = cf.reparameterize(res["curve"], res["plan"], 400, res["horizon"])
@@ -385,10 +385,10 @@ class TestSampleFlowMatchesSolveIvp:
 class TestBrentMatchesScipy:
     """The Brent port returns SciPy's ``brentq`` root bit for bit."""
 
-    tol = dict(xtol=4 * flow.EPS, rtol=4 * flow.EPS)
+    tol = dict(xtol=4 * numint.EPS, rtol=4 * numint.EPS)
 
     def _both(self, f, a, b):
-        return flow._brentq(f, a, b), brentq(f, a, b, **self.tol)
+        return numint.brentq(f, a, b), brentq(f, a, b, **self.tol)
 
     @pytest.mark.parametrize("a,b", [(-3.0, 4.0), (0.5, 2.0), (1.0, 1.7), (-0.9, 0.0)])
     def test_cubic(self, a, b):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+from scipy.optimize import brentq as scipy_brentq
 
 from contractflow import numint
 from contractflow.errors import QuadratureBudgetExceeded
@@ -79,13 +80,13 @@ def test_simpson_end_values_from_the_caller():
         adaptive_simpson(noisy, 0.0, 1.0, tol=1e-15, fa=1.0, fb=1.0)
 
 
-def test_invert_monotone_newton():
+def test_invert_monotone_cubic():
     fn = lambda x: x**3 + x
-    x = invert_monotone(fn, 10.0, 0.0, 5.0, deriv=lambda x: 3 * x**2 + 1)
+    x = invert_monotone(fn, 10.0, 0.0, 5.0)
     assert fn(x) == pytest.approx(10.0, abs=1e-10)
 
 
-def test_invert_monotone_bisection_only():
+def test_invert_monotone_sinh():
     x = invert_monotone(math.sinh, 1.0, 0.0, 3.0)
     assert math.sinh(x) == pytest.approx(1.0, abs=1e-9)
 
@@ -93,6 +94,18 @@ def test_invert_monotone_bisection_only():
 def test_invert_monotone_clamps_to_bracket():
     assert invert_monotone(lambda x: x, -5.0, 0.0, 1.0) == 0.0
     assert invert_monotone(lambda x: x, 5.0, 0.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("fn, target, lo, hi", [
+    # the log-spiral threshold lam = e^(-3 pi lam / 2)
+    (lambda lam: lam - math.exp(-1.5 * math.pi * lam), 0.0, 1e-4, 1.0),
+    (lambda x: x**3 + x, 10.0, 0.0, 5.0),
+    (math.sinh, 1.0, 0.0, 3.0),
+], ids=["spiral-threshold", "cubic", "sinh"])
+def test_invert_monotone_is_scipy_brentq(fn, target, lo, hi):
+    want = scipy_brentq(lambda x: fn(x) - target, lo, hi,
+                        xtol=4 * numint.EPS, rtol=4 * numint.EPS)
+    assert invert_monotone(fn, target, lo, hi) == want
 
 
 def test_cumulative_table_matches_closed_form():
