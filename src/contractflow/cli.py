@@ -28,6 +28,8 @@ EXIT_FLOW = 6
 
 # the flow stage passes when the flow stays this close to the reparameterized curve
 ROUNDTRIP_TOL = 5e-2
+# the flow stage compares flow and reparameterized curve at this many times
+N_OUT = 400
 
 _STAGE_EXIT = {"curve": EXIT_CONFIG, "contract": EXIT_CONTRACT, "repar": EXIT_M,
                "extend": EXIT_C, "flow": EXIT_FLOW}
@@ -47,8 +49,6 @@ class PipelineConfig:
     plan_kind: str = "exp"
     b_override: float | None = None
     eps: float | None = None
-    eps_rel: float = 1e-3
-    n_out: int = 400
 
     def validate(self) -> None:
         if (self.generator is None) == (self.input_path is None):
@@ -57,15 +57,14 @@ class PipelineConfig:
             raise ConfigError("alpha must lie in (1/2, 1]")
         if not self.n_samples >= 3:
             raise ConfigError("n_samples must be at least 3")
-        if not self.n_out >= 2:
-            raise ConfigError("n_out must be at least 2")
-        for name in ("eps_rel", "lam", "tmax", "angle", "radius", "seg_length"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("lam", "tmax", "angle", "radius", "seg_length", "b_override"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.plan_kind not in ("exp", "endpoint", "zeta"):
             raise ConfigError("plan kind must be exp, endpoint, or zeta")
-        if self.eps is not None and self.eps < 0:
-            raise ConfigError("eps must be nonnegative")
+        if self.eps is not None and not 0.0 <= self.eps < math.inf:
+            raise ConfigError("eps must be finite and nonnegative")
 
 
 def _is_json(path) -> bool:
@@ -215,18 +214,17 @@ def _extend_stage(cfg, report, data) -> bool:
     data.update(condition_C=c_rep, condition_CW1=cw_rep)
     if not (c_rep.passed and cw_rep.passed):
         return False
-    res["extension"] = extend.build_extension(jet, smoothing_eps=cfg.eps,
-                                              eps_rel=cfg.eps_rel)
+    res["extension"] = extend.build_extension(jet, smoothing_eps=cfg.eps)
     return True
 
 
 def _flow_stage(cfg, report, data) -> bool:
     res = report.results
     ext, horizon = res["extension"], res["horizon"]
-    rep_curve = repar.reparameterize(res["curve"], res["plan"], cfg.n_out, horizon)
+    rep_curve = repar.reparameterize(res["curve"], res["plan"], N_OUT, horizon)
     traj = flow_mod.sample_states(ext, rep_curve.points[0], rep_curve.times)
     speed, speed_evals = flow_mod.final_speed(ext, traj.states)
-    metrics = res["roundtrip"] = flow_mod.roundtrip_error(traj, rep_curve)
+    metrics = flow_mod.roundtrip_error(traj, rep_curve)
     data.update(horizon=horizon, eps=ext.smoothing_eps,
                 grad_evals=traj.grad_evals + speed_evals, final_speed=speed,
                 **_jsonable(metrics))
@@ -287,7 +285,7 @@ _curve_options = _options(
 )
 _plan_options = _options(
     _curve_options,
-    click.option("--kind", "--plan", "plan_kind",
+    click.option("--plan", "plan_kind",
                  type=click.Choice(["exp", "endpoint", "zeta"])),
     click.option("--alpha", type=float),
     click.option("--b", "b_override", type=float,
@@ -296,11 +294,6 @@ _plan_options = _options(
 _extend_options = _options(
     _plan_options,
     click.option("--eps", type=float, help="Absolute smoothing."),
-    click.option("--eps-rel", type=float),
-)
-_flow_options = _options(
-    _extend_options,
-    click.option("--n-out", type=int),
 )
 _output_option = click.option("-o", "--output", type=click.Path())
 
@@ -358,7 +351,7 @@ def _emit(doc, out):
 def main():
     """Self-contracted curves as gradient flows of convex functions.
 
-    check, build-m, verify-m, extend and roundtrip are `run` stopped at their stage.
+    check, verify-m and extend are `run` stopped at their stage.
     """
 
 
@@ -384,16 +377,6 @@ def check(wanted, output, **kwargs):
     crep = _result(run_pipeline(_cfg(kwargs), stop_after="contract"), "contract")
     _emit(crep, output)
     sys.exit(EXIT_OK if crep.level >= contract.ContractLevel(wanted) else EXIT_CONTRACT)
-
-
-@main.command("build-m")
-@_plan_options
-@_output_option
-def build_m(output, **kwargs):
-    """Construct the speed profile m and print its constants; exit 4 when (M) fails."""
-    report = run_pipeline(_cfg(kwargs), stop_after="repar")
-    _emit(_result(report, "plan"), output)
-    sys.exit(report.exit_code)
 
 
 @main.command("verify-m")
@@ -476,18 +459,8 @@ def flow_cmd(ext_path, x0, t_end, dt, output):
            "final_state": traj.states[-1].tolist()}, None)
 
 
-@main.command("roundtrip")
-@_flow_options
-@_output_option
-def roundtrip_cmd(output, **kwargs):
-    """Reparameterize, integrate the extension flow, compare; exit 6 on miss."""
-    report = run_pipeline(_cfg(kwargs))
-    _emit(_result(report, "roundtrip"), output)
-    sys.exit(report.exit_code)
-
-
 @main.command("run")
-@_flow_options
+@_extend_options
 @click.option("--report", "report_path", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def run(report_path, fmt, **kwargs):

@@ -315,8 +315,8 @@ def make_log_spiral(lam: float, t_max: float, n_samples: int) -> Curve:
     Resampled to arc length; the raw speed is e^{-lam u} sqrt(1 + lam^2), so
     the total length is sqrt(1 + lam^2) (1 - e^{-lam t_max}) / lam.
     """
-    if lam <= 0 or t_max <= 0:
-        raise ValueError("lam and t_max must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < t_max < math.inf):
+        raise ValueError("lam and t_max must be positive and finite")
     if n_samples < 10:
         raise ValueError("n_samples must be at least 10")
     w = 1j - lam

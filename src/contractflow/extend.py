@@ -229,8 +229,8 @@ def build_extension(jet: JetData, smoothing_eps: float | None = None,
             f"at pair {report.witness[:2]}")
     if smoothing_eps is None:
         smoothing_eps = eps_rel * jet.value_range
-    if smoothing_eps < 0.0:
-        raise ValueError("smoothing_eps must be nonnegative")
+    if not 0.0 <= smoothing_eps < np.inf:
+        raise ValueError("smoothing_eps must be finite and nonnegative")
     return ConvexExtension(anchors=jet.anchors, values=jet.values,
                            gradients=jet.gradients, smoothing_eps=float(smoothing_eps))
 

@@ -120,8 +120,8 @@ def exponential_plan(curve: Curve, reg: RegularityEstimate, c0: float) -> Repara
 
 def exponential_plan_with_rate(curve: Curve, b: float) -> ReparamPlan:
     """Exponential profile with a caller-chosen rate (no certification)."""
-    if b <= 0.0:
-        raise ValueError("rate b must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("rate b must be positive and finite")
     return _exponential(curve, b, None, None)
 
 

@@ -41,15 +41,16 @@ class TestRun:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = runner.invoke(main, ["run", "--gen", "spiral"])
-            rt = runner.invoke(main, ["roundtrip", "--gen", "spiral"])
+            ext = runner.invoke(main, ["extend", "--gen", "spiral"])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert res.exit_code == 4, res.output
         doc = json.loads(res.output)
         assert [s["name"] for s in doc["stages"]][-1] == "repar"
         assert doc["stages"][-1]["passed"] is False
         assert "overflows" in doc["stages"][-1]["data"]["error"]
-        assert rt.exit_code == 4
-        assert "overflows" in rt.output and "Traceback" not in rt.output
+        assert ext.exit_code == 4 and ext.stdout == ""
+        assert len(ext.stderr.splitlines()) == 1
+        assert "overflows" in ext.stderr and "Traceback" not in ext.output
 
     def test_bad_alpha_exits_2(self, runner):
         res = runner.invoke(main, ["run", "--alpha", "0.4", "--gen", "segment"])
@@ -129,10 +130,10 @@ class TestGenCheck:
 
 class TestPlanCommands:
     def test_build_m_constants(self, runner):
-        res = runner.invoke(main, ["build-m", "--gen", "circle", "--n", "100",
-                                   "--kind", "endpoint"])
+        res = runner.invoke(main, ["verify-m", "--gen", "circle", "--n", "100",
+                                   "--plan", "endpoint"])
         assert res.exit_code == 0, res.output
-        doc = json.loads(res.output)
+        doc = json.loads(res.output)["plan"]
         assert doc["kind"] == "endpoint"
         assert doc["T"] is None  # +inf serialized as null
         assert doc["b"] == pytest.approx(1.0908, abs=1e-3)
@@ -191,21 +192,20 @@ class TestExtensionCommands:
         assert res.exit_code == 2
 
     def test_roundtrip_condition_M_failure_exits_4(self, runner):
-        # roundtrip runs run's stages, so the (M) gate stops it before (C)
-        args = ["--gen", "circle", "--b", "0.05"]
-        res = runner.invoke(main, ["roundtrip"] + args)
+        # the (M) gate stops the pipeline before (C)
+        res = runner.invoke(main, ["run", "--gen", "circle", "--b", "0.05"])
         assert res.exit_code == 4
         assert isinstance(res.exception, SystemExit)  # nothing escaped
         assert len(res.output.strip().splitlines()) == 1
-        assert "(M)-inequality fails" in res.output
-        assert runner.invoke(main, ["run"] + args).exit_code == res.exit_code
+        repar_stage = json.loads(res.output)["stages"][-1]
+        assert repar_stage["name"] == "repar" and repar_stage["data"]["holds"] is False
 
     def test_roundtrip_command(self, runner):
-        res = runner.invoke(main, ["roundtrip", "--gen", "segment", "--n", "100"])
+        res = runner.invoke(main, ["run", "--gen", "segment", "--n", "100"])
         assert res.exit_code == 0
-        doc = json.loads(res.output)
-        assert doc["sup_distance"] <= 5e-2
-        assert set(doc) == {"sup_distance", "terminal_distance", "hausdorff"}
+        data = json.loads(res.output)["stages"][-1]["data"]
+        assert data["sup_distance"] <= 5e-2
+        assert {"sup_distance", "terminal_distance", "hausdorff"} <= set(data)
 
 
 HALF_CIRCLE = ["--gen", "circle", "--angle", repr(np.pi), "--n", "80"]
@@ -217,9 +217,9 @@ class TestStagedProjections:
     def test_m_failure_stops_every_later_subcommand(self, runner):
         args = ["--gen", "circle", "--n", "80", "--b", "0.05"]
         codes = {cmd: runner.invoke(main, [cmd] + args).exit_code
-                 for cmd in ("build-m", "verify-m", "extend", "roundtrip", "run")}
+                 for cmd in ("verify-m", "extend", "run")}
         assert set(codes.values()) == {4}
-        plan = json.loads(runner.invoke(main, ["build-m"] + args).stdout)
+        plan = json.loads(runner.invoke(main, ["verify-m"] + args).stdout)["plan"]
         assert plan["b"] == 0.05  # the plan is still printed
         ext = runner.invoke(main, ["extend"] + args)
         assert ext.stdout == ""
@@ -240,17 +240,20 @@ class TestStagedProjections:
         assert res.exit_code == 4 and isinstance(res.exception, SystemExit)
         stage = json.loads(res.stdout)["stages"][-1]
         assert stage["name"] == "repar" and "exponential rate b" in stage["data"]["error"]
-        bm = runner.invoke(main, ["build-m"] + args)
-        assert bm.exit_code == 4
-        assert bm.stderr.startswith("repar stage failed: exponential rate b")
+        vm = runner.invoke(main, ["verify-m"] + args)
+        assert vm.exit_code == 4
+        assert vm.stderr.startswith("repar stage failed: exponential rate b")
 
     def test_rate_override_still_gates_on_classify(self, runner):
         # the half circle's start tangent is orthogonal to its last chord: c0 = 0
-        for cmd in ("build-m", "verify-m", "extend", "roundtrip"):
+        for cmd in ("verify-m", "extend"):
             res = runner.invoke(main, [cmd] + HALF_CIRCLE + ["--b", "3"])
             assert res.exit_code == 3, cmd
             assert res.stderr == ("contract stage failed: the curve is "
                                   "self_contracted, not uniformly_strongly\n")
+        res = runner.invoke(main, ["run"] + HALF_CIRCLE + ["--b", "3"])
+        assert res.exit_code == 3
+        assert json.loads(res.stdout)["stages"][-1]["data"]["level"] == "self_contracted"
         res = runner.invoke(main, ["check"] + HALF_CIRCLE + ["--level", "self_contracted"])
         assert res.exit_code == 0
         assert json.loads(res.stdout)["level"] == "self_contracted"
@@ -260,13 +263,10 @@ class TestStagedProjections:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = runner.invoke(main, ["run"] + args)
-            rt = runner.invoke(main, ["roundtrip"] + args)
-        assert res.exit_code == 6
+        assert res.exit_code == 6 and isinstance(res.exception, SystemExit)
         doc = json.loads(res.stdout)
         assert doc["stages"][-1]["name"] == "flow"
         assert "state norm" in doc["stages"][-1]["data"]["error"]
-        assert rt.exit_code == 6 and isinstance(rt.exception, SystemExit)
-        assert rt.stderr.strip().splitlines()[-1].startswith("flow stage failed:")
 
     def test_flow_blow_up_leaks_no_warning(self, runner, monkeypatch):
         calls = []
@@ -278,10 +278,11 @@ class TestStagedProjections:
         monkeypatch.setattr(flow, "eval_grad", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = runner.invoke(main, ["roundtrip", "--gen", "circle", "--angle", "2.5"])
+            res = runner.invoke(main, ["run", "--gen", "circle", "--angle", "2.5"])
         assert res.exit_code == 6 and isinstance(res.exception, SystemExit)
-        assert len(res.stderr.splitlines()) == 1
-        assert res.stderr.startswith("flow stage failed: state norm ")
+        assert res.stderr == ""
+        assert json.loads(res.stdout)["stages"][-1]["data"]["error"].startswith(
+            "state norm ")
         assert len(calls) <= 5000
 
     def test_dt_factor_is_not_an_option(self, runner):
@@ -289,12 +290,14 @@ class TestStagedProjections:
         assert res.exit_code == 2 and "--dt-factor" in res.stderr
 
     @pytest.mark.parametrize("flag, value, commands", [
-        ("--safety", "1.0", ["build-m", "verify-m", "extend", "roundtrip", "run"]),
+        ("--safety", "1.0", ["verify-m", "extend", "run"]),
         ("--roundtrip-tol", "0.1", ["run"]),
-        ("--tol", "0.1", ["roundtrip"]),
         ("--n-triples", "500", ["check", "run"]),
         ("--seed", "1", ["check", "run"]),
-    ], ids=["safety", "roundtrip-tol", "tol", "n-triples", "seed"])
+        ("--n-out", "400", ["run"]),
+        ("--eps-rel", "1e-3", ["extend", "run"]),
+        ("--kind", "exp", ["verify-m", "extend", "run"]),
+    ], ids=["safety", "roundtrip-tol", "n-triples", "seed", "n-out", "eps-rel", "kind"])
     def test_fixed_settings_are_not_options(self, runner, flag, value, commands):
         for cmd in commands:
             res = runner.invoke(main, [cmd, "--gen", "segment", flag, value])
@@ -303,7 +306,49 @@ class TestStagedProjections:
     def test_pipeline_config_fields(self):
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
             "generator", "input_path", "lam", "tmax", "angle", "radius", "seg_length",
-            "n_samples", "alpha", "plan_kind", "b_override", "eps", "eps_rel", "n_out"]
+            "n_samples", "alpha", "plan_kind", "b_override", "eps"]
+
+    @pytest.mark.parametrize("command", ["roundtrip", "build-m"])
+    def test_removed_commands_are_usage_errors(self, runner, command):
+        res = runner.invoke(main, [command, "--gen", "segment"])
+        assert res.exit_code == 2
+        assert "No such command" in res.stderr and command in res.stderr
+
+    def test_commands(self):
+        assert sorted(main.commands) == ["check", "eval", "extend", "flow", "gen",
+                                         "run", "verify-m"]
+
+    @pytest.mark.parametrize("args, cause", [
+        (["--gen", "spiral", "--lambda", "inf"], "lam must be positive and finite"),
+        (["--gen", "spiral", "--tmax", "inf"], "tmax must be positive and finite"),
+        (["--gen", "circle", "--angle", "inf"], "angle must be positive and finite"),
+        (["--gen", "circle", "--radius", "inf"], "radius must be positive and finite"),
+        (["--gen", "segment", "--seg-length", "inf"],
+         "seg_length must be positive and finite"),
+        (["--gen", "circle", "--b", "0"], "b_override must be positive and finite"),
+        (["--gen", "circle", "--b", "-1"], "b_override must be positive and finite"),
+        (["--gen", "circle", "--b", "nan"], "b_override must be positive and finite"),
+        (["--gen", "circle", "--b", "inf"], "b_override must be positive and finite"),
+        (["--gen", "segment", "--eps", "nan"], "eps must be finite and nonnegative"),
+        (["--gen", "segment", "--eps", "inf"], "eps must be finite and nonnegative"),
+    ], ids=["lambda-inf", "tmax-inf", "angle-inf", "radius-inf", "seg-length-inf",
+            "b-0", "b-neg", "b-nan", "b-inf", "eps-nan", "eps-inf"])
+    def test_bad_setting_is_a_config_error(self, runner, args, cause):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["run"] + args)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr == f"config error: {cause}\n"
+
+    def test_extend_bad_eps_writes_no_file(self, runner, tmp_path):
+        out = tmp_path / "e.json"
+        res = runner.invoke(main, ["extend", "--gen", "segment", "--eps", "nan",
+                                   "-o", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr == "config error: eps must be finite and nonnegative\n"
+        assert not out.exists()
 
     def test_zeta_horizon_at_0999_L_is_tabulated(self, runner):
         # N = 1000 puts t_(N-2) within one grid step of 0.999 L, and N = 1500
@@ -330,12 +375,6 @@ class TestCurveInput:
         res = runner.invoke(main, ["run", "--gen", "segment", "--n", n])
         assert res.exit_code == 2
         assert res.stderr == "config error: n_samples must be at least 3\n"
-
-    @pytest.mark.parametrize("n_out", ["-1", "0", "1"])
-    def test_one_flow_sample_is_a_config_error(self, runner, n_out):
-        res = runner.invoke(main, ["run", "--gen", "segment", "--n-out", n_out])
-        assert res.exit_code == 2
-        assert res.stderr == "config error: n_out must be at least 2\n"
 
     def test_repeated_parameter_fails_curve_stage(self, runner, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -538,10 +577,9 @@ STAGES = ["curve", "contract", "repar", "extend", "flow"]
 FLOW_METRICS = ("horizon", "eps", "grad_evals", "final_speed", "sup_distance",
                 "terminal_distance", "hausdorff")
 # the last stage each prefix subcommand runs, and the options it takes
-PREFIX_STAGE = {"build-m": "repar", "verify-m": "repar", "extend": "extend"}
-PREFIX_OPTIONS = {"build-m": {"--kind", "--alpha", "--b"},
-                  "verify-m": {"--kind", "--alpha", "--b"},
-                  "extend": {"--kind", "--alpha", "--b", "--eps"}}
+PREFIX_STAGE = {"verify-m": "repar", "extend": "extend"}
+PREFIX_OPTIONS = {"verify-m": {"--plan", "--alpha", "--b"},
+                  "extend": {"--plan", "--alpha", "--b", "--eps"}}
 
 
 def _num(lo, hi):
@@ -560,11 +598,10 @@ def curve_args(draw):
 
 # options of the later stages take valid values only, so that a prefix
 # subcommand, which lacks them, sees the same configuration errors as run
-OPTION_VALUES = {"--kind": st.sampled_from(["exp", "endpoint", "zeta"]),
+OPTION_VALUES = {"--plan": st.sampled_from(["exp", "endpoint", "zeta"]),
                  "--alpha": st.sampled_from(["0.4", "0.75", "1.0"]),
                  "--b": _num(0.01, 30.0),
-                 "--eps": st.sampled_from(["0", "1e-4", "1e-2"]),
-                 "--n-out": st.integers(2, 100).map(str)}
+                 "--eps": st.sampled_from(["0", "1e-4", "1e-2"])}
 pipeline_options = st.sets(st.sampled_from(sorted(OPTION_VALUES)), max_size=3).flatmap(
     lambda keys: st.fixed_dictionaries({k: OPTION_VALUES[k] for k in keys}))
 
@@ -588,12 +625,11 @@ def _invoke(runner, args):
        prefix=st.sampled_from(sorted(PREFIX_STAGE)))
 @settings(max_examples=25, deadline=None)
 @example(curve=["--gen", "circle", "--n", "3", "--angle", "3.140625"], options={},
-         prefix="build-m")
+         prefix="verify-m")
 def test_staged_subcommands_fuzz(curve, options, prefix):
     runner = CliRunner()
     args = curve + _flags(options)
     run_res = _invoke(runner, ["run"] + args)
-    assert _invoke(runner, ["roundtrip"] + args).exit_code == run_res.exit_code
     # a prefix subcommand fails where run fails, or passes all of its stages
     expect = run_res.exit_code
     if run_res.stdout:  # empty on a config error

@@ -190,6 +190,12 @@ class TestLogSpiral:
         with pytest.raises(ValueError):
             cf.make_log_spiral(0.5, 1.0, 5)
 
+    @pytest.mark.parametrize("lam, t_max", [(math.inf, 1.0), (math.nan, 1.0),
+                                            (0.5, math.inf), (0.5, math.nan)])
+    def test_non_finite_parameters_raise(self, lam, t_max):
+        with pytest.raises(ValueError, match="lam and t_max must be positive and finite"):
+            cf.make_log_spiral(lam, t_max, 50)
+
     def test_critical_lambda(self):
         lam0 = cf.log_spiral_critical_lambda()
         assert abs(lam0 - math.exp(-1.5 * math.pi * lam0)) < 1e-10

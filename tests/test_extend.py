@@ -119,6 +119,14 @@ class TestBuildExtension:
         ext = cf.build_extension(circle_jet)
         assert ext.smoothing_eps == pytest.approx(1e-3 * circle_jet.value_range)
 
+    @pytest.mark.parametrize("kwargs", [dict(smoothing_eps=math.nan),
+                                        dict(smoothing_eps=math.inf),
+                                        dict(smoothing_eps=-1.0),
+                                        dict(eps_rel=math.nan), dict(eps_rel=math.inf)])
+    def test_smoothing_must_be_finite_and_nonnegative(self, circle_jet, kwargs):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cf.build_extension(circle_jet, **kwargs)
+
     def test_sandwich(self, circle_jet):
         ext0 = cf.build_extension(circle_jet, smoothing_eps=0.0)
         eps = 1e-3

@@ -39,6 +39,11 @@ class TestExponentialPlan:
         assert float(plan.theta(1.0)) == pytest.approx(math.e - 1.0, rel=1e-12)
         assert plan.T == pytest.approx(math.e - 1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_must_be_positive_and_finite(self, segment, b):
+        with pytest.raises(ValueError, match="rate b must be positive and finite"):
+            cf.exponential_plan_with_rate(segment, b)
+
     def test_nonpositive_c0(self, segment):
         reg = cf.holder_seminorm(segment, 1.0)
         with pytest.raises(NonPositiveC0):
