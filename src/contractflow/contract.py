@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ STRICT_TOL = 1e-9
 DEFLATION = 0.9  # c0 is this share of the grid minimum of the normalized products
 N_STRATA = 8  # span strata of the metric check
 TABLE_TRIPLES = 100_000  # most triples the metric check scores from a chord table
+METRIC_TRIPLES = 100_000  # triples of classify's metric cross-check, drawn with seed 0
 
 
 class ContractLevel(enum.Enum):
@@ -115,20 +115,17 @@ def _chord_lengths(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = x.take(a)
         diff -= x.take(b)
         diff *= diff
-        if out is None:
-            out = diff
-        else:
-            out += diff
+        out = diff if out is None else np.add(out, diff, out=out)
     return np.sqrt(out, out=out)
 
 
 def _strata(n: int, n_triples: int, seed: int):
-    """The metric check's triples, one stratum at a time: ``(i, j, k, dropped)``.
+    """The metric check's triples, one stratum at a time: ``(i, j, k)``.
 
     8 strata of n_triples // 8 draws, each a start index and two gaps below
-    the stratum's span, then all n - 2 consecutive triples. Draws that run
-    past the last sample are clipped to it and marked in ``dropped``. A
-    stratum is drawn only when the one before it has been taken.
+    the stratum's span, then all n - 2 consecutive triples. A stratum keeps
+    the draws that land (k < n) in draw order, and one where none lands is
+    skipped. A stratum is drawn only when the one before it has been taken.
     """
     rng = np.random.default_rng(seed)
     per = max(n_triples // N_STRATA, 1)
@@ -137,60 +134,46 @@ def _strata(n: int, n_triples: int, seed: int):
         i = rng.integers(0, n - 2, size=per)
         j = i + rng.integers(1, span, size=per)
         k = j + rng.integers(1, span, size=per)
-        dropped = k >= n
-        np.minimum(j, n - 1, out=j)
-        np.minimum(k, n - 1, out=k)
-        yield i, j, k, dropped
+        land = k < n
+        i, j, k = i[land], j[land], k[land]
+        if len(i):
+            yield i, j, k
     i = np.arange(n - 2)
-    yield i, i + 1, i + 2, np.zeros(n - 2, dtype=bool)
+    yield i, i + 1, i + 2
 
 
 @functools.lru_cache(maxsize=1)
 def _triple_plan(n: int, n_triples: int, seed: int) -> tuple:
-    """Per stratum, read-only indices ``(i n + k, j n + k)`` into ``_chord_table``.
+    """Per stratum of ``_strata``, read-only rows ``i n + k`` and ``j n + k``.
 
-    A dropped triple reads the table's two sentinels instead, +inf and 0, so
-    its slack is +inf whatever the chords. The indices take the smallest
-    unsigned type that holds them: uint16 up to N = 255, then uint32.
-    """
-    index = np.min_scalar_type(n * n + 1)
-    plan = []
-    for ik, jk, k, dropped in _strata(n, n_triples, seed):
-        ik *= n
-        ik += k
-        jk *= n
-        jk += k
-        ik[dropped], jk[dropped] = n * n, n * n + 1
-        ik, jk = ik.astype(index), jk.astype(index)
-        ik.setflags(write=False)
-        jk.setflags(write=False)
-        plan.append((ik, jk))
-    return tuple(plan)
+    They index the flat ``_chord_table`` in the smallest unsigned type that
+    holds n^2 - 1: uint8 up to N = 16, uint16 up to N = 256, then uint32."""
+    index = np.min_scalar_type(n * n - 1)
+    plan = tuple(np.stack([i * n + k, j * n + k]).astype(index)
+                 for i, j, k in _strata(n, n_triples, seed))
+    for stratum in plan:
+        stratum.setflags(write=False)
+    return plan
 
 
 def _chord_table(P: np.ndarray) -> np.ndarray:
-    """||P[r] - P[c]|| at r N + c, each bitwise equal to ``_chord_lengths``; then +inf, 0."""
+    """||P[r] - P[c]|| at row r, column c, each bitwise equal to ``_chord_lengths``."""
     n, d = P.shape
-    flat = np.empty(n * n + 2)
-    table = flat[:-2].reshape(n, n)
     if d >= 8:
         # whole rows, as _chord_lengths gathers them, a few table rows at a time
+        table = np.empty((n, n))
         rows = max(1, 2**16 // (n * d))
         for r in range(0, n, rows):
             table[r:r + rows] = np.linalg.norm(P[r:r + rows, None] - P[None], axis=2)
-    else:
-        diff = None
-        for c, x in enumerate(P.T):
-            if c == 0:
-                np.subtract.outer(x, x, out=table)
-                table *= table
-            else:
-                diff = np.subtract.outer(x, x, out=diff)
-                diff *= diff
-                table += diff
-        np.sqrt(table, out=table)
-    flat[-2:] = np.inf, 0.0
-    return flat
+        return table
+    table = np.subtract.outer(P[:, 0], P[:, 0])
+    table *= table
+    diff = None
+    for x in P.T[1:]:
+        diff = np.subtract.outer(x, x, out=diff)
+        diff *= diff
+        table += diff
+    return np.sqrt(table, out=table)
 
 
 def check_self_contracted_metric(curve: Curve, n_triples: int,
@@ -200,19 +183,17 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     The random sample is stratified over triple spans so that both local and
     global configurations are covered: 8 strata of n_triples // 8 draws,
     each a start index and two gaps below the stratum's span. Draws that run
-    past the last sample are dropped (their slack is +inf), and the first
-    triple of least slack is the witness (the first NaN slack, if any).
-    Violation threshold is tol = 1e-9 * L.
+    past the last sample are discarded as they are drawn, so every scored
+    triple has t1 < t2 < t3; the witness is the first scored triple of least
+    slack (the first NaN slack, if any). Violation threshold is STRICT_TOL * L.
 
     The draws depend only on (N, n_triples, seed). When n_triples is at most
     TABLE_TRIPLES and the N x N chord table is no larger than the chords the
-    triples ask for (N^2 <= 2 n_triples: N <= 447 at the default 100 000),
-    the draws of the last key are kept as table indices (0.4 MB at N = 200,
-    0.8 MB at most), and each call builds the table (1.6 MB at most) and
-    scores a stratum with two gathers from it. Otherwise the strata are drawn
-    afresh on every call and each is scored before the next is drawn, so a
-    call holds about one stratum and keeps nothing: under 1 MB at the
-    default however large N is. Both paths give the same slacks bit for bit.
+    triples ask for (N^2 <= 2 n_triples), the draws of the last key are kept
+    as table indices (0.3 MB at N = 200, 0.8 MB at most) and each call builds
+    the table (1.6 MB at most). Otherwise each stratum is scored from its own
+    chords before the next is drawn: a call keeps nothing and holds under 1 MB
+    at 100 000 triples at any N. Both paths give the same slacks bit for bit.
     """
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
@@ -221,16 +202,17 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
         raise ValueError(f"the metric check needs at least 3 samples, got {n}")
     t, P = curve.params, curve.points
     if n_triples <= TABLE_TRIPLES and n * n <= 2 * n_triples:
-        plan = _triple_plan(n, n_triples, seed)
-        table = _chord_table(P)
-        chunks = [_least_in_table(table, n, ik, jk, lambda s=s: _stratum(n, n_triples, seed, s))
-                  for s, (ik, jk) in enumerate(plan)]
+        strata = _triple_plan(n, n_triples, seed)
+        least = functools.partial(_least_in_table, _chord_table(P))
     else:
-        chunks = [_least_by_chords(P, *stratum) for stratum in _strata(n, n_triples, seed)]
+        least = functools.partial(_least_by_chords, P)
+        strata = _strata(n, n_triples, seed)
+    # map lets go of a stratum once it is scored, before the next is drawn
+    chunks = list(map(least, strata))
     # argmin over the stratum minima keeps argmin's rule over all triples: the
     # first NaN, else the first least slack
     slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
-    tol = 1e-9 * curve.length
+    tol = STRICT_TOL * curve.length
     level = (ContractLevel.NOT_SELF_CONTRACTED if slack < -tol
              else ContractLevel.SELF_CONTRACTED)
     worst = tuple(float(t[m]) for m in triple) + (float(slack),)
@@ -238,39 +220,28 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
                           worst_triple=worst, tol=tol)
 
 
-def _stratum(n: int, n_triples: int, seed: int, s: int) -> tuple:
-    """Stratum s of ``_strata``, drawn again."""
-    return next(itertools.islice(_strata(n, n_triples, seed), s, None))
-
-
-def _least_in_table(table, n, ik, jk, draws):
-    """(slack, i, j, k) of a stratum's first least slack, scored from the chord table.
-
-    ``draws()`` gives the stratum's clipped draws, which only a dropped
-    triple needs: its table indices are the sentinels.
-    """
+def _least_in_table(table, stratum):
+    """(slack, i, j, k) of a stratum's first least slack, scored from the chord table."""
+    ik, jk = stratum
     slack = table.take(ik)
     slack -= table.take(jk)
     w = int(np.argmin(slack))
-    if ik[w] == n * n:
-        i, j, k, _ = draws()
-        return slack[w], i[w], j[w], k[w]
-    i, k = divmod(int(ik[w]), n)
-    return slack[w], i, int(jk[w]) // n, k
+    i, k = divmod(int(ik[w]), len(table))
+    return slack[w], i, int(jk[w]) // len(table), k
 
 
-def _least_by_chords(P, i, j, k, dropped):
+def _least_by_chords(P, stratum):
     """(slack, i, j, k) of a stratum's first least slack, scored from its own chords."""
+    i, j, k = stratum
     slack = _chord_lengths(P, i, k)
     slack -= _chord_lengths(P, j, k)
-    slack[dropped] = np.inf
     w = int(np.argmin(slack))
     return slack[w], i[w], j[w], k[w]
 
 
-def classify(curve: Curve, n_triples: int = 100_000, seed: int = 0) -> ContractReport:
+def classify(curve: Curve) -> ContractReport:
     """Full hierarchy decision: metric cross-check, pairwise level (STRICT_TOL), c0."""
-    metric = check_self_contracted_metric(curve, n_triples, seed=seed)
+    metric = check_self_contracted_metric(curve, METRIC_TRIPLES)
     strong = upgrade_uniform(check_strong(curve))
     # the metric cross-check can only veto; the pairwise scan sets the level
     if metric.level == ContractLevel.NOT_SELF_CONTRACTED:
@@ -312,16 +283,15 @@ def _taylor_scan(curve: Curve, bounds: list) -> list:
     return results
 
 
-def check_taylor_bound(curve: Curve, reg: RegularityEstimate,
-                       tol_factor: float = 1e-9) -> TaylorReport:
+def check_taylor_bound(curve: Curve, reg: RegularityEstimate) -> TaylorReport:
     """Verify <T(t), gamma(s)-gamma(t)> >= (s-t) - C (s-t)^{2 alpha + 1}.
 
     C is reg.c1; when reg carries a third-derivative bound the cubic variant
     with C1 = bound / 6 is verified too, in the same pass over the pairs.
     Raises BoundViolated with the witness pair when a slack dips below
-    -tol_factor * L, the Hoelder bound first.
+    -STRICT_TOL * L, the Hoelder bound first.
     """
-    tol = tol_factor * curve.length
+    tol = STRICT_TOL * curve.length
     bounds = [(reg.c1, 2.0 * reg.alpha + 1.0)]
     if reg.third_deriv_bound is not None:
         bounds.append((reg.third_deriv_bound / 6.0, 3.0))

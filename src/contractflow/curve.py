@@ -174,7 +174,6 @@ class RegularityEstimate:
     holder_seminorm: float
     c1: float
     third_deriv_bound: float | None = None
-    safety_factor: float = 1.25
 
     def with_third_deriv(self, bound: float) -> "RegularityEstimate":
         return replace(self, third_deriv_bound=float(bound))
@@ -187,7 +186,6 @@ class ThirdDerivativeBound:
     bound: float
     values: np.ndarray
     params: np.ndarray
-    safety_factor: float
 
     @property
     def c1_cubic(self) -> float:
@@ -443,8 +441,7 @@ def holder_seminorm(curve: Curve, alpha: float,
     else:
         sem = safety_factor * max(map_blocks(block_max, len(t) - 1))
     c1 = sem * sem / (2.0 * (2.0 * alpha + 1.0))
-    return RegularityEstimate(alpha=alpha, holder_seminorm=sem, c1=c1,
-                              safety_factor=safety_factor)
+    return RegularityEstimate(alpha=alpha, holder_seminorm=sem, c1=c1)
 
 
 def _second_differences(params: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -455,8 +452,8 @@ def _second_differences(params: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d2, axis=1)
 
 
-def third_deriv_bound(curve: Curve, safety_factor: float = 1.25) -> ThirdDerivativeBound:
-    """Safety-inflated sup of ||gamma'''|| over the grid, with running sup.
+def third_deriv_bound(curve: Curve) -> ThirdDerivativeBound:
+    """Sup of ||gamma'''|| over the grid, inflated by 1.25, with running sup.
 
     Uses the exact third-derivative evaluator when the curve is analytic and
     already unit speed; otherwise second differences of the tangents. The
@@ -478,9 +475,8 @@ def third_deriv_bound(curve: Curve, safety_factor: float = 1.25) -> ThirdDerivat
                 f"third-derivative estimate diverges under refinement "
                 f"({full.max():.3g} vs {coarse.max():.3g} at stride 2)")
         vals = np.concatenate([[full[0]], full, [full[-1]]])
-    vals = safety_factor * vals
-    return ThirdDerivativeBound(bound=float(vals.max()), values=vals,
-                                params=curve.params, safety_factor=safety_factor)
+    vals = 1.25 * vals
+    return ThirdDerivativeBound(bound=float(vals.max()), values=vals, params=curve.params)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class JetData:
     anchors: np.ndarray
     values: np.ndarray
     gradients: np.ndarray
-    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.anchors, dtype=float)
@@ -70,19 +70,19 @@ class ConditionCReport:
     scale: float
 
 
-def _slack_scan(jet: JetData, tol: float) -> tuple:
+def _slack_scan(jet: JetData) -> tuple:
     """One blocked pass over slack[i, j] = f_i - f_j - <G_j, x_i - x_j>, i != j.
 
     Returns (min, i, j), the minima over j > i and over j < i, the count of
-    pairs with |slack| <= tol max|f| and (-gap, i, j) of their widest gradient
-    gap; witnesses are the first in row-major order. Memoized on the jet,
-    whose arrays are read-only, so check_C, check_CW1 and build_extension
-    share one scan.
+    pairs with |slack| <= CW1_TOL max|f| and (-gap, i, j) of their widest
+    gradient gap; witnesses are the first in row-major order. Memoized on the
+    jet, whose arrays are read-only, so check_C, check_CW1 and
+    build_extension share one scan.
     """
-    if tol not in jet._scans:
+    if jet._scan is None:
         f, x, g = jet.values, jet.anchors, jet.gradients
         own = np.einsum("id,id->i", x, g)  # <x_j, G_j>
-        band = tol * max(float(np.abs(f).max()), 1e-300)
+        band = CW1_TOL * max(float(np.abs(f).max()), 1e-300)
 
         def block(i0, i1):
             shape = (i1 - i0, len(f))
@@ -112,9 +112,9 @@ def _slack_scan(jet: JetData, tol: float) -> tuple:
             return least, step1, step2, n_hits, widest
 
         least, step1, step2, n_equal, widest = zip(*map_blocks(block, len(f)))
-        jet._scans[tol] = (min(least), float(min(step1)), float(min(step2)),
-                           sum(n_equal), min(widest))
-    return jet._scans[tol]
+        object.__setattr__(jet, "_scan", (min(least), float(min(step1)),
+                                          float(min(step2)), sum(n_equal), min(widest)))
+    return jet._scan
 
 
 def check_C(jet: JetData) -> ConditionCReport:
@@ -125,7 +125,7 @@ def check_C(jet: JetData) -> ConditionCReport:
     different proof content: the "before" direction holds for any positive
     increasing profile, the "after" direction is exactly the (M)-inequality.
     """
-    (min_slack, wi, wj), step1, step2, _, _ = _slack_scan(jet, CW1_TOL)
+    (min_slack, wi, wj), step1, step2, _, _ = _slack_scan(jet)
     scale = float(np.abs(jet.values).max())
     passed = bool(min_slack >= -1e-10 * scale)
     return ConditionCReport(passed=passed, min_slack=min_slack, step1_min=step1,
@@ -140,16 +140,16 @@ class ConditionCW1Report:
     witness: tuple | None  # (i, j, gradient_gap) of the worst equality pair
 
 
-def check_CW1(jet: JetData, tol: float = CW1_TOL) -> ConditionCW1Report:
+def check_CW1(jet: JetData) -> ConditionCW1Report:
     """Equality pairs of condition (C) must share their gradient.
 
     With a strict (M)-margin the nontrivial equality set is empty; exact ties
     (e.g. underflowed far-tail values) pass because their gradients agree.
     """
-    _, _, _, count, (neg_gap, i, j) = _slack_scan(jet, tol)
+    _, _, _, count, (neg_gap, i, j) = _slack_scan(jet)
     if count == 0:
         return ConditionCW1Report(passed=True, n_equality_pairs=0, witness=None)
-    return ConditionCW1Report(passed=bool(-neg_gap <= tol), n_equality_pairs=count,
+    return ConditionCW1Report(passed=bool(-neg_gap <= CW1_TOL), n_equality_pairs=count,
                               witness=(i, j, -neg_gap))
 
 

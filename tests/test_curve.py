@@ -276,15 +276,15 @@ class TestThirdDerivBound:
         assert cf.third_deriv_bound(segment).bound == 0.0
 
     def test_unit_circle(self, quarter_circle):
-        # gamma''' = -gamma' on the unit circle
-        tdb = cf.third_deriv_bound(quarter_circle, safety_factor=1.25)
+        # gamma''' = -gamma' on the unit circle; the bound is 1.25 times the sup
+        tdb = cf.third_deriv_bound(quarter_circle)
         assert tdb.bound == pytest.approx(1.25, abs=1e-12)
         assert tdb.c1_cubic == pytest.approx(1.25 / 6.0, abs=1e-12)
 
     def test_zeta_running_sup(self, quarter_circle):
-        tdb = cf.third_deriv_bound(quarter_circle, safety_factor=1.0)
+        tdb = cf.third_deriv_bound(quarter_circle)
         z = tdb.zeta(np.array([0.1, 0.5, quarter_circle.length]))
-        np.testing.assert_allclose(z, 1.0, atol=1e-9)
+        np.testing.assert_allclose(z, 1.25, atol=1e-9)
         assert np.all(np.diff(tdb.zeta(quarter_circle.params)) >= -1e-12)
 
     def test_noisy_samples_rejected(self):

@@ -28,8 +28,7 @@ class TestExponentialPlan:
 
     def test_paper_constants_quarter_circle(self, quarter_circle):
         # c0 = 2/pi and C1 = 1/6 give b = 3 (1/6)(pi/2) e^{pi/2} ~= 3.78
-        reg = cf.curve.RegularityEstimate(alpha=1.0, holder_seminorm=1.0,
-                                          c1=1.0 / 6.0, safety_factor=1.0)
+        reg = cf.curve.RegularityEstimate(alpha=1.0, holder_seminorm=1.0, c1=1.0 / 6.0)
         plan = cf.exponential_plan(quarter_circle, reg, 2.0 / np.pi)
         expected = 3.0 * (1.0 / 6.0) * (np.pi / 2) * math.exp(np.pi / 2)
         assert plan.b == pytest.approx(expected, rel=1e-12)

@@ -136,7 +136,10 @@ def assert_C_exact(jet):
 
 def assert_CW1_exact(jet, tol):
     count, witness = dense_CW1(jet, tol)
-    rep = cf.check_CW1(JetData(jet.anchors, jet.values, jet.gradients), tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extend, "CW1_TOL", tol)
+        # a fresh jet: a jet remembers its scan
+        rep = cf.check_CW1(JetData(jet.anchors, jet.values, jet.gradients))
     assert rep.n_equality_pairs == count
     assert rep.witness == witness
     assert rep.passed == (witness is None or witness[2] <= tol)
@@ -212,15 +215,13 @@ def test_integer_jets_match_dense_exactly(seed, n, tol):
 @settings(max_examples=25, deadline=None)
 def test_taylor_bounds_match_dense(params, alpha, third):
     crv = build_chain(params)
-    reg = cf.holder_seminorm(crv, alpha).with_third_deriv(third)
-    bounds = ((reg.c1, 2.0 * alpha + 1.0, "holder"), (third / 6.0, 3.0, "cubic"))
+    bounds = [(cf.holder_seminorm(crv, alpha).c1, 2.0 * alpha + 1.0), (third / 6.0, 3.0)]
     for rows in ROWS:
         with block_rows(rows):
-            rep = cf.check_taylor_bound(crv, reg, tol_factor=np.inf)  # never raises
-        for constant, power, name in bounds:
+            scans = contract._taylor_scan(crv, bounds)  # the slacks, whatever their sign
+        for (constant, power), (value, witness) in zip(bounds, scans, strict=True):
             ref, slack = dense_taylor(crv, constant, power)
-            value = getattr(rep, f"{name}_slack")
-            t0, s0, lhs, rhs = getattr(rep, f"{name}_witness")
+            t0, s0, lhs, rhs = witness
             i, j = np.searchsorted(crv.params, [t0, s0])
             # the N x N product may round <T_i, P_j> differently in the last bit
             assert value == pytest.approx(ref, abs=1e-14)
@@ -312,17 +313,18 @@ def test_equal_slacks_across_blocks(k, n):
 def all_checks(arc):
     plan = cf.exponential_plan_with_rate(arc, 3.0)
     endpoint = cf.endpoint_plan(arc, cf.estimate_c0(arc), 1.0 / 6.0)
-    reg = cf.holder_seminorm(arc, 0.75).with_third_deriv(1.0)
+    c1 = cf.holder_seminorm(arc, 0.75).c1
     return (cf.holder_seminorm(arc, 0.75), cf.check_strong(arc),
             cf.verify_M(arc, plan), cf.verify_M(arc, endpoint),
-            cf.check_taylor_bound(arc, reg, tol_factor=np.inf),
-            cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan), 1e-3))
+            contract._taylor_scan(arc, [(c1, 2.5), (1.0 / 6.0, 3.0)]),
+            cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan)))
 
 
-def test_threads_never_share_scratch():
+def test_threads_never_share_scratch(monkeypatch):
     # user threads running checks at once, switching every microsecond: each
     # carves from a slab of its own, and a slab shared by two of them would
     # corrupt a block and change a result
+    monkeypatch.setattr(extend, "CW1_TOL", 1e-3)  # (CW1) counts equality pairs
     arc = cf.make_circle_arc(1.4, 600)
     interval = sys.getswitchinterval()
     for rows in ROWS:
@@ -359,7 +361,7 @@ def test_small_scans_stay_serial(monkeypatch):
         return original(block, n_rows, **kw)
 
     monkeypatch.setattr(_scan, "map_blocks", recorded)
-    cf.classify(cf.make_circle_arc(1.4, 2047), 2000)
+    cf.classify(cf.make_circle_arc(1.4, 2047))
     assert sizes == {_scan.SMALL_BLOCK}
     sizes.clear()
     cf.check_strong(cf.make_circle_arc(1.4, 2048))
@@ -410,6 +412,7 @@ def test_kernels_carve_from_their_slab_after_the_first_block(monkeypatch):
         monkeypatch.setattr(module, "map_blocks", counted)
     for module in (_scan, contract, curve, repar, extend):
         monkeypatch.setattr(module, "scratch", checked)
+    monkeypatch.setattr(extend, "CW1_TOL", 1e-3)  # (CW1) counts equality pairs
     arc = cf.make_circle_arc(1.4, 300)
     for rows in ROWS:
         blocks.clear()
@@ -545,7 +548,7 @@ def _count_scans(monkeypatch):
 
 def test_classify_scans_pairs_once(monkeypatch, quarter_circle):
     calls = _count_scans(monkeypatch)
-    rep = cf.classify(quarter_circle, 2000)
+    rep = cf.classify(quarter_circle)
     assert rep.level == contract.ContractLevel.UNIFORMLY_STRONGLY
     assert len(calls) == 1
 
