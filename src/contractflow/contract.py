@@ -135,7 +135,12 @@ def _strata(n: int, n_triples: int, seed: int):
         j = i + rng.integers(1, span, size=per)
         k = j + rng.integers(1, span, size=per)
         land = k < n
-        i, j, k = i[land], j[land], k[land]
+        if not land.all():
+            # one index list taken three times, faster than three boolean
+            # masks on scattered misses, and not held while the stratum is scored
+            keep = np.flatnonzero(land)
+            i, j, k = i.take(keep), j.take(keep), k.take(keep)
+            del keep
         if len(i):
             yield i, j, k
     i = np.arange(n - 2)

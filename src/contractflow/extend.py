@@ -256,7 +256,17 @@ def eval_grad(ext: ConvexExtension, x) -> np.ndarray:
     if eps == 0.0:
         idx = np.argmax(p, axis=-1)
         return ext.gradients[idx]
-    # in place: no temporaries on the flow integrators' one-point calls
+    # in place: no temporaries on the flow integrators' one-point calls, whose
+    # maximum, eps and sum are 0-d arrays, cheaper ufunc operands than scalars,
+    # and whose blend is ndarray.dot, the BLAS gemv of @ with less dispatch
+    if p.ndim == 1:
+        m = np.empty(())
+        p -= np.maximum.reduce(p, out=m)
+        m.fill(eps)
+        p /= m
+        np.exp(p, out=p)
+        p /= np.add.reduce(p, out=m)
+        return p.dot(ext.gradients)
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     p /= eps
     np.exp(p, out=p)

@@ -4,9 +4,18 @@
 Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
 Solving ODEs I, II.4), stepped here with the initial step, RMS error norm and
 step controller of SciPy's ``RK45``, whose steps it reproduces bit for bit.
-Each step's quartic dense output gives the samples at the requested times
-that it covers and, when the state norm crosses its limit, the crossing time
-by Brent's method. The pipeline's roundtrip and the converse check use it.
+A step evaluates the gradient six times, each written negated into its row
+of the stage derivatives, and makes besides only the array operations whose
+results decide its bits: one ``dot`` of the stage derivatives per stage, for
+the update and for the error estimate, each on the operand layouts that
+``RK45`` uses, since a BLAS dot may fuse multiply-adds and a Python sum of the
+stage products would round differently; the elementwise products, sums and
+quotients in place, with 0-d array operands; and the step size, times and
+error norm as Python floats. Each step's quartic dense output gives the
+samples at the requested times that it covers, one ``dot`` per step with the
+elementwise work done over all samples at once, and, when the state norm
+crosses its limit, the crossing time by Brent's method. The pipeline's
+roundtrip and the converse check use it.
 ``integrate``, classical fixed-step RK4 on Python floats, is kept as the
 fixed-step reference whose error behaves predictably for the order checks
 and the ``flow --dt`` command.
@@ -15,6 +24,7 @@ and the ``flow --dt`` command.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +101,15 @@ def _gradient_fn(ext_or_f):
     return ext_or_f
 
 
+def _checked(g, shape) -> np.ndarray:
+    """The oracle's gradient ``g`` as a float array; ValueError unless of ``shape``."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != shape:
+        raise ValueError(f"the gradient oracle returned shape {g.shape} "
+                         f"for a state of shape {shape}")
+    return g
+
+
 def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
     """Integrate x' = -grad F(x) by fixed-step RK4.
 
@@ -116,11 +135,7 @@ def integrate(ext_or_f, x0, t_end: float, dt: float) -> Trajectory:
     def gradient(y):
         # a fresh array per call, as the oracle may keep or return it; a
         # contiguous gradient, as np.linalg.norm dots a contiguous copy
-        g = np.ascontiguousarray(grad(np.array(y)), dtype=float)
-        if g.shape != shape:
-            raise ValueError(f"the gradient oracle returned shape {g.shape} "
-                             f"for a state of shape {shape}")
-        return g
+        return np.ascontiguousarray(_checked(grad(np.array(y)), shape))
 
     g = gradient(x)
     times, states, speeds = [0.0], [x], [math.sqrt(g.dot(g))]
@@ -205,32 +220,32 @@ def sample_states(ext_or_f, x0, times) -> Trajectory:
     limit = 1e6 * (math.hypot(*x0) + 1.0)
     nfev = 0
 
-    def velocity(t, x):
+    def velocity(t, x, out=None):
         nonlocal nfev
         nfev += 1
         if nfev > MAX_EVALS:
             raise BlowUp(f"step size collapsed: {MAX_EVALS} gradient evaluations "
                          f"reached only t = {t:.6g}")
-        return -np.asarray(oracle(x), dtype=float)
+        return np.negative(_checked(oracle(x), x0.shape), out=out)
 
-    samples = []
-    done = 0  # samples taken
+    t_list = times.tolist()
+    covered = []  # per step that covers samples: Q, t_old, h, y_old and their count
+    done = 0  # samples covered
     # an overflowing trial step is rejected by the error control, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_old, t, y_old, y, K in _dopri_steps(velocity, float(times[0]), x0,
-                                                   float(times[-1])):
+        for t_old, t, y_old, y, K in _dopri_steps(velocity, t_list[0], x0, t_list[-1]):
             # the escape gap is positive at x0 (a finite state), so this is
             # solve_ivp's sign test; a NaN gap fails both, and the error
             # control rejects every step to a NaN state
-            if limit - math.hypot(*y) <= 0.0:
+            if limit - math.hypot(*y.tolist()) <= 0.0:
                 dense = _dense_output(t_old, t, y_old, K)
                 t = brentq(lambda s: limit - math.hypot(*dense(s)), t_old, t)
                 raise BlowUp(f"state norm exceeds {limit:.3g} at t = {t:.6g}")
-            end = int(np.searchsorted(times, t, side="right"))
+            end = bisect_right(t_list, t, done)
             if end > done:
-                samples.append(_dense_output(t_old, t, y_old, K)(times[done:end]))
+                covered.append((K.T.dot(_P), t_old, t - t_old, y_old, end - done))
                 done = end
-    states = np.hstack(samples).T
+        states = _dense_samples(covered, times).T
     if not np.isfinite(states).all():
         raise BlowUp("flow state is not finite")
     return Trajectory(times=times, states=states, speeds=None, grad_evals=nfev)
@@ -244,18 +259,33 @@ def _rms(v):
 def _dopri_steps(fun, t, y, t_bound):
     """The accepted Dormand-Prince 5(4) steps of y' = fun(t, y) from t to t_bound.
 
-    Yields ``(t_old, t, y_old, y, K)`` per step, K holding the stage
-    derivatives, the last at (t, y); K is overwritten by the next step. The
-    initial step, the error norm and the step-size controller are those of
-    SciPy's ``RK45`` (Hairer, Norsett & Wanner, II.4), operation for
-    operation. Raises BlowUp when a step would fall below 10 spacings of t.
+    ``fun(t, y, out)`` writes y' into the array ``out``; with ``out`` None it
+    returns a new array. Yields ``(t_old, t, y_old, y, K)`` per step, K
+    holding the stage derivatives, the last at (t, y); K is overwritten by
+    the next step. The initial step, the error norm and the step-size
+    controller are those of SciPy's ``RK45`` (Hairer, Norsett & Wanner,
+    II.4), operation for operation. Raises BlowUp when a step would fall
+    below 10 spacings of t.
+
+    The K.T views and weight rows are made once per call. The first stage
+    derivative of a step is the last of the step before, and so is |y|;
+    ``sqrt(e . e) / sqrt(n)`` is ``np.linalg.norm``'s RMS norm of e.
     """
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound)
-    K = np.empty((len(_C) + 1, len(y)))
+    n = len(y)
+    K = np.empty((len(_C) + 1, n))
+    # per stage: the derivatives so far as a K.T view, their weights, the
+    # stage's time fraction and its row of K
+    stages = [(K[:s].T, _A[s, :s], float(_C[s]), K[s]) for s in range(1, len(_C))]
+    K_B, K_E, f_new = K[:-1].T, K.T, K[-1]
+    abs_y, abs_y_new, scale = np.abs(y), np.empty(n), np.empty(n)
+    # the step size and tolerances as 0-d arrays, cheaper ufunc operands than floats
+    h_arr, rtol, atol = np.empty(()), np.array(RTOL), np.array(ATOL)
+    root_n = n ** 0.5
+    fun(t, y, K[0])
+    h_abs = float(_initial_step(fun, t, y, K[0], t_bound))
     exponent = -1 / 5  # -1 / (order of the error estimate + 1)
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -265,15 +295,24 @@ def _dopri_steps(fun, t, y, t_bound):
                              "less than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, len(_C)):
-                dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = fun(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = K[-1] = fun(t + h, y_new)
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            h_abs = abs(h)
+            h_arr.fill(h)
+            for K_s, a, c, row in stages:
+                dy = K_s.dot(a)
+                dy *= h_arr
+                fun(t + c * h, y + dy, row)
+            dy = K_B.dot(_B)
+            dy *= h_arr
+            y_new = y + dy
+            fun(t + h, y_new, f_new)
+            np.abs(y_new, out=abs_y_new)
+            np.maximum(abs_y, abs_y_new, out=scale)
+            scale *= rtol
+            scale += atol
+            err = K_E.dot(_E)
+            err *= h_arr
+            err /= scale
+            error_norm = math.sqrt(err.dot(err)) / root_n
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0
                           else min(MAX_FACTOR, SAFETY * error_norm ** exponent))
@@ -282,7 +321,9 @@ def _dopri_steps(fun, t, y, t_bound):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
             rejected = True
         yield t, t_new, y, y_new, K
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
+        abs_y, abs_y_new = abs_y_new, abs_y
+        K[0] = f_new
 
 
 def _initial_step(fun, t0, y0, f0, t_bound):
@@ -303,17 +344,37 @@ def _initial_step(fun, t0, y0, f0, t_bound):
 
 
 def _dense_output(t_old, t, y_old, K):
-    """The step's quartic interpolant: a state at a scalar time, one column
-    per time for an array of times."""
+    """The step's quartic interpolant, a state at a scalar time."""
     Q = K.T.dot(_P)
     h = t - t_old
+    return lambda s: h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
 
-    def at(s):
-        x = (s - t_old) / h
-        if np.ndim(x) == 0:
-            return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
-        return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
-    return at
+
+def _dense_samples(covered, times) -> np.ndarray:
+    """The steps' quartic interpolants at ``times``, one column per time.
+
+    ``covered`` holds per step, in order, ``(Q, t_old, h, y_old, k)``: its
+    dense-output coefficients and the number k of the times it covers. A
+    sample is ``RK45``'s h Q p + y_old, p the powers x, x^2, x^3, x^4 of the
+    step fraction x = (s - t_old) / h. The elementwise operations run over
+    all times at once, and Q p is one dot per step on a C-ordered (4, k)
+    copy of that step's powers, ``RK45``'s operand layout.
+    """
+    Q, t_old, h, y_old, k = zip(*covered)
+    h = np.repeat(h, k)
+    p = np.empty((4, len(times)))
+    x = np.subtract(times, np.repeat(t_old, k), out=p[0])
+    x /= h
+    for r in range(1, 4):
+        np.multiply(p[r - 1], x, out=p[r])
+    y = np.empty((len(y_old[0]), len(times)))
+    end = 0
+    for q, n in zip(Q, k):
+        start, end = end, end + n
+        y[:, start:end] = q.dot(p[:, start:end].copy())
+    y *= h
+    y += np.repeat(np.array(y_old).T, k, axis=1)
+    return y
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,34 @@ class TestEvalGrad:
             assert batch.tobytes() == reference(ext, pts[:64]).tobytes()
         assert underflowed > 0
 
+    @pytest.mark.parametrize("n", [200, 5000])
+    def test_one_point_matches_the_in_place_formula_bit_for_bit(self, circle_jet, n):
+        # the one-point path against the in-place keepdims form that both
+        # paths shared, with an eps at which some softmax weights underflow to 0
+        def in_place(ext, x):
+            p = ext.piece_values(x)
+            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+            p /= ext.smoothing_eps
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=-1, keepdims=True)
+            return p @ ext.gradients
+
+        jet, step = circle_jet, 1
+        if n != 200:  # a finer arc, at every 10th point
+            arc = cf.make_circle_arc(np.pi / 2, n)
+            jet, step = cf.curve_jet(arc, cf.exponential_plan_with_rate(arc, 1.0)), 10
+        rng = np.random.default_rng(6)
+        pts = np.concatenate([rng.uniform(-0.5, 1.5, size=(1000, 2)),
+                              rng.normal(scale=50.0, size=(1000, 2))])[::step]
+        underflowed = 0
+        for eps in (1e-2, 1e-6):
+            ext = cf.build_extension(jet, smoothing_eps=eps)
+            for x in pts:
+                assert cf.eval_grad(ext, x).tobytes() == in_place(ext, x).tobytes()
+                p = ext.piece_values(x)
+                underflowed += np.count_nonzero(np.exp((p - p.max()) / eps) == 0.0)
+        assert underflowed > 0
+
 
 class TestExtensionInvariants:
     def test_subgradient_property(self, circle_jet):

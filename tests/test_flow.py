@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -380,6 +381,79 @@ class TestSampleFlowMatchesSolveIvp:
         assert out[0] == "BlowUp" and "step size collapsed" in out[1]
         assert out == _outcome(_solve_ivp_reference, nan_off_start, np.array([1.0, 0.0]),
                                [0.0, 1.0])
+
+
+class TestDenseSamplesMatchSolveIvp:
+    """Many sample times per step: the dense output matches ``solve_ivp`` bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["linear", "identity", "tanh"])
+    def test_random_flows(self, kind, d):
+        # 5000 times on a span of a few steps: hundreds of samples per step
+        grad, x0 = _oracle(kind, d)
+        times = np.linspace(0.0, 0.2, 5000)
+        out = _outcome(cf.sample_flow, grad, x0, times)
+        assert out == _outcome(_solve_ivp_reference, grad, x0, times)
+        assert out[-1] - len(times) <= 100  # the solver's evaluations
+
+    def test_extension_flow(self, arc_extension):
+        ext, rc = arc_extension
+        times = np.linspace(0.0, 0.05 * rc.times[-1], 5000)
+        assert (_outcome(cf.sample_flow, ext, rc.points[0], times)
+                == _outcome(_solve_ivp_reference, ext, rc.points[0], times))
+
+
+_A2 = np.array([[1.0, 0.3], [0.3, 2.0]])
+# results that are not a fresh float64 array of the state's shape and layout
+ODD_ORACLES = {
+    "list": lambda x: [x[0], 4.0 * x[1]],
+    "int": lambda x: np.rint(8.0 * x).astype(np.int64),
+    "float32": lambda x: (_A2 @ x).astype(np.float32),
+    "view": lambda x: x[::-1],  # of the state passed in
+}
+# results not of the state's shape (2,)
+WRONG_SHAPES = [pytest.param(lambda x: float(x @ x), "()", id="scalar"),
+                pytest.param(lambda x: np.ones(3), "(3,)", id="3-vector"),
+                pytest.param(lambda x: x[None, :], "(1, 2)", id="row")]
+
+
+class TestOracleResults:
+    """Both integrators take any array-like of the state's shape and reject the rest."""
+
+    @pytest.mark.parametrize("kind", ODD_ORACLES)
+    def test_sample_flow_matches_solve_ivp(self, kind):
+        grad, x0 = ODD_ORACLES[kind], np.array([1.0, 0.5])
+        for times in (np.linspace(0.0, 2.0, 21), np.linspace(0.5, 3.7, 400)):
+            assert (_outcome(cf.sample_flow, grad, x0, times)
+                    == _outcome(_solve_ivp_reference, grad, x0, times))
+
+    @pytest.mark.parametrize("kind", ODD_ORACLES)
+    def test_integrate_matches_the_array_form(self, kind):
+        grad, x0 = ODD_ORACLES[kind], np.array([1.0, 0.5])
+        assert (_outcome(cf.integrate, grad, x0, 2.3, 0.07)
+                == _outcome(_rk4_reference, grad, x0, 2.3, 0.07))
+
+    @pytest.mark.parametrize("grad,shape", WRONG_SHAPES)
+    def test_wrong_shape_is_rejected(self, grad, shape):
+        # a scalar would broadcast into the stage derivatives and be integrated
+        match = (f"^the gradient oracle returned shape {re.escape(shape)} "
+                 f"for a state of shape \\(2,\\)$")
+        x0 = np.array([1.0, 0.5])
+        for run in (lambda: flow.sample_states(grad, x0, np.linspace(0.0, 1.0, 5)),
+                    lambda: cf.sample_flow(grad, x0, np.linspace(0.0, 1.0, 5)),
+                    lambda: cf.check_flow_self_contracted(grad, x0, 1.0),
+                    lambda: cf.integrate(grad, x0, 1.0, 1e-2)):
+            with pytest.raises(ValueError, match=match):
+                run()
+
+    def test_scalar_for_a_one_dimensional_state_is_rejected(self):
+        # a 0-d gradient is not the (1,) gradient of a 1-d state in either integrator
+        grad, x0 = (lambda x: 2.0 * float(x[0])), np.array([0.5])
+        match = r"^the gradient oracle returned shape \(\) for a state of shape \(1,\)$"
+        for run in (lambda: flow.sample_states(grad, x0, np.linspace(0.0, 1.0, 5)),
+                    lambda: cf.integrate(grad, x0, 1.0, 1e-2)):
+            with pytest.raises(ValueError, match=match):
+                run()
 
 
 class TestBrentMatchesScipy:
