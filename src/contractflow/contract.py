@@ -136,11 +136,7 @@ def _strata(n: int, n_triples: int, seed: int):
         k = j + rng.integers(1, span, size=per)
         land = k < n
         if not land.all():
-            # one index list taken three times, faster than three boolean
-            # masks on scattered misses, and not held while the stratum is scored
-            keep = np.flatnonzero(land)
-            i, j, k = i.take(keep), j.take(keep), k.take(keep)
-            del keep
+            i, j, k = i[land], j[land], k[land]
         if len(i):
             yield i, j, k
     i = np.arange(n - 2)

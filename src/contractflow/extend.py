@@ -256,19 +256,13 @@ def eval_grad(ext: ConvexExtension, x) -> np.ndarray:
     if eps == 0.0:
         idx = np.argmax(p, axis=-1)
         return ext.gradients[idx]
-    # in place: no temporaries on the flow integrators' one-point calls, whose
-    # maximum, eps and sum are 0-d arrays, cheaper ufunc operands than scalars,
-    # and whose blend is ndarray.dot, the BLAS gemv of @ with less dispatch
-    if p.ndim == 1:
-        m = np.empty(())
-        p -= np.maximum.reduce(p, out=m)
-        m.fill(eps)
-        p /= m
-        np.exp(p, out=p)
-        p /= np.add.reduce(p, out=m)
-        return p.dot(ext.gradients)
-    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-    p /= eps
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    return p @ ext.gradients
+    # in place: no temporaries on the flow integrators' one-point calls. On
+    # the transposes the pieces come first, so each point's maximum and sum
+    # broadcast along its pieces as they are, 0-d for one point, the cheapest
+    # ufunc operand; the blend is ndarray.dot, the BLAS call of @ on these layouts
+    q, m = p.T, np.empty(p.shape[:-1])
+    q -= np.maximum.reduce(p, axis=-1, out=m).T
+    q /= eps
+    np.exp(q, out=q)
+    q /= np.add.reduce(p, axis=-1, out=m).T
+    return p.dot(ext.gradients)

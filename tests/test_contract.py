@@ -120,31 +120,6 @@ class TestMetricCheckOracle:
                 assert rep.worst_triple[-1] == 1.0
                 assert repr(rep) == repr(_sampled_metric_reference(crv, n_triples, seed=seed))
 
-    def test_strata_are_the_masked_draws(self):
-        # a stratum where every draw lands is yielded as drawn, the others are
-        # compressed; both are the boolean masks' draws, in draw order
-        whole = partial = 0
-        for n, n_triples in ((3, 1), (50, 7), (1000, 7), (1000, 2000), (5000, 100_000)):
-            rng = np.random.default_rng(0)
-            per = max(n_triples // 8, 1)
-            want = []
-            for s in range(8):
-                span = max(int(n * 2.0 ** (s - 7)), 3)
-                i = rng.integers(0, n - 2, size=per)
-                j = i + rng.integers(1, span, size=per)
-                k = j + rng.integers(1, span, size=per)
-                land = k < n
-                whole, partial = whole + land.all(), partial + (not land.all())
-                if land.any():
-                    want.append((i[land], j[land], k[land]))
-            want.append((np.arange(n - 2), np.arange(1, n - 1), np.arange(2, n)))
-            got = list(contract._strata(n, n_triples, 0))
-            assert len(got) == len(want)
-            for stratum, expected in zip(got, want):
-                for a, b in zip(stratum, expected):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert whole and partial
-
 
 def test_nan_slack_is_the_witness_as_under_argmin():
     # chords to points near the float64 limit overflow and inf - inf is NaN:

@@ -221,8 +221,8 @@ class TestEvalGrad:
 
     @pytest.mark.parametrize("n", [200, 5000])
     def test_one_point_matches_the_in_place_formula_bit_for_bit(self, circle_jet, n):
-        # the one-point path against the in-place keepdims form that both
-        # paths shared, with an eps at which some softmax weights underflow to 0
+        # one point against the in-place keepdims form, on a coarse and a fine
+        # arc, with an eps at which some softmax weights underflow to 0
         def in_place(ext, x):
             p = ext.piece_values(x)
             p -= np.maximum.reduce(p, axis=-1, keepdims=True)
@@ -245,7 +245,15 @@ class TestEvalGrad:
                 assert cf.eval_grad(ext, x).tobytes() == in_place(ext, x).tobytes()
                 p = ext.piece_values(x)
                 underflowed += np.count_nonzero(np.exp((p - p.max()) / eps) == 0.0)
+            assert cf.eval_grad(ext, pts[:64]).tobytes() == in_place(ext, pts[:64]).tobytes()
         assert underflowed > 0
+
+    def test_a_square_grid_of_points_is_blended_point_by_point(self, circle_jet):
+        # a (3, 3, 2) batch: each point's maximum and sum must meet its own pieces
+        ext = cf.build_extension(circle_jet, smoothing_eps=1e-2)
+        x = np.random.default_rng(7).uniform(-0.5, 1.5, size=(3, 3, 2))
+        want = np.array([[cf.eval_grad(ext, x[a, b]) for b in range(3)] for a in range(3)])
+        np.testing.assert_allclose(cf.eval_grad(ext, x), want, rtol=1e-12, atol=1e-15)
 
 
 class TestExtensionInvariants:
