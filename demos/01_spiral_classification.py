@@ -23,8 +23,8 @@ print(f"residual of lam - e^(-3 pi lam / 2): "
 print()
 
 # Two full turns of each spiral, resampled to 400 arc-length samples.
-# classify runs the pairwise scan and the metric cross-check, the latter on
-# a fixed 100 000 random triples (seed 0), as the CLI does.
+# classify checks that the tangents are the points' derivative, then runs
+# the pairwise scan, as the CLI does; it scores no metric triples.
 T_MAX = 4 * np.pi
 N = 400
 

@@ -3,7 +3,7 @@
 Runs ``cli.run_pipeline`` at the CLI defaults on the built-in segment, circle
 and spiral at N = 200, 1000 and 5000 and times each pipeline stage (curve,
 contract, repar, extend, flow) and the steps inside them (classify and its
-metric cross-check, Hoelder seminorm, third-derivative bound, plan, verify_M,
+tangent check, Hoelder seminorm, third-derivative bound, plan, verify_M,
 jet, (C), (CW1), build_extension, reparameterize, flow integration,
 roundtrip). Wall times are medians over ``--repeats`` untraced runs after one
 warm-up run; the peaks come from one more run under tracemalloc, as the
@@ -38,7 +38,7 @@ SIZES = (200, 1000, 5000)
 # (module, function, step name); names a source tree lacks are skipped
 STEPS = [
     (contract, "classify", "classify"),
-    (contract, "check_self_contracted_metric", "metric_check"),
+    (contract, "check_tangents", "tangent_check"),
     (curve, "holder_seminorm", "holder_seminorm"),
     (curve, "third_deriv_bound", "third_deriv_bound"),
     (repar, "exponential_plan", "plan"),

@@ -10,8 +10,10 @@ from . import contract, curve, extend, flow, numint, repar
 from .contract import (
     ContractLevel,
     ContractReport,
+    MetricReport,
     check_self_contracted_metric,
     check_strong,
+    check_tangents,
     check_taylor_bound,
     classify,
     estimate_c0,

@@ -1,8 +1,12 @@
 """Self-contractedness hierarchy checks and the Taylor-type lower bound.
 
 The pairwise differential form <gamma'(t), gamma(s) - gamma(t)> is the
-authoritative test for differentiable curves; the metric triple inequality
-runs on a stratified random subsample as a cross-check.
+authoritative test for differentiable curves. ``classify`` runs it after an
+O(N) check that the tangent columns are the derivative of the points, the
+one hypothesis under which the pairwise form implies the metric triple
+inequality. The metric inequality itself is scored on a stratified random
+subsample of triples by ``check_self_contracted_metric``, a library
+cross-check that the pipeline does not run.
 """
 
 from __future__ import annotations
@@ -14,14 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._scan import mask_lower, pair_gaps, pairwise_min, scratch, tangent_chord
-from .curve import Curve, RegularityEstimate
-from .errors import BoundViolated, NotStronglyContracted
+from .curve import Curve, RegularityEstimate, holder_seminorm, require_samples
+from .errors import BoundViolated, InconsistentTangents, NotStronglyContracted
 
 STRICT_TOL = 1e-9
 DEFLATION = 0.9  # c0 is this share of the grid minimum of the normalized products
 N_STRATA = 8  # span strata of the metric check
-TABLE_TRIPLES = 100_000  # most triples the metric check scores from a chord table
-METRIC_TRIPLES = 100_000  # triples of classify's metric cross-check, drawn with seed 0
 
 
 class ContractLevel(enum.Enum):
@@ -47,7 +49,13 @@ class ContractReport:
     level: ContractLevel
     c0: float
     worst_pair: tuple | None  # (t, s, value) minimizing the normalized inner product
-    worst_triple: tuple | None  # (t1, t2, t3, slack) minimizing the metric slack
+    tol: float
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    level: ContractLevel  # SELF_CONTRACTED or NOT_SELF_CONTRACTED
+    worst_triple: tuple  # (t1, t2, t3, slack) minimizing the metric slack
     tol: float
 
 
@@ -73,8 +81,7 @@ def check_strong(curve: Curve) -> ContractReport:
         level = ContractLevel.SELF_CONTRACTED
     else:
         level = ContractLevel.NOT_SELF_CONTRACTED
-    return ContractReport(level=level, c0=0.0, worst_pair=worst, worst_triple=None,
-                          tol=STRICT_TOL)
+    return ContractReport(level=level, c0=0.0, worst_pair=worst, tol=STRICT_TOL)
 
 
 def estimate_c0(curve: Curve) -> float:
@@ -143,42 +150,8 @@ def _strata(n: int, n_triples: int, seed: int):
     yield i, i + 1, i + 2
 
 
-@functools.lru_cache(maxsize=1)
-def _triple_plan(n: int, n_triples: int, seed: int) -> tuple:
-    """Per stratum of ``_strata``, read-only rows ``i n + k`` and ``j n + k``.
-
-    They index the flat ``_chord_table`` in the smallest unsigned type that
-    holds n^2 - 1: uint8 up to N = 16, uint16 up to N = 256, then uint32."""
-    index = np.min_scalar_type(n * n - 1)
-    plan = tuple(np.stack([i * n + k, j * n + k]).astype(index)
-                 for i, j, k in _strata(n, n_triples, seed))
-    for stratum in plan:
-        stratum.setflags(write=False)
-    return plan
-
-
-def _chord_table(P: np.ndarray) -> np.ndarray:
-    """||P[r] - P[c]|| at row r, column c, each bitwise equal to ``_chord_lengths``."""
-    n, d = P.shape
-    if d >= 8:
-        # whole rows, as _chord_lengths gathers them, a few table rows at a time
-        table = np.empty((n, n))
-        rows = max(1, 2**16 // (n * d))
-        for r in range(0, n, rows):
-            table[r:r + rows] = np.linalg.norm(P[r:r + rows, None] - P[None], axis=2)
-        return table
-    table = np.subtract.outer(P[:, 0], P[:, 0])
-    table *= table
-    diff = None
-    for x in P.T[1:]:
-        diff = np.subtract.outer(x, x, out=diff)
-        diff *= diff
-        table += diff
-    return np.sqrt(table, out=table)
-
-
 def check_self_contracted_metric(curve: Curve, n_triples: int,
-                                 seed: int = 0) -> ContractReport:
+                                 seed: int = 0) -> MetricReport:
     """Metric triple inequality on random triples plus all consecutive ones.
 
     The random sample is stratified over triple spans so that both local and
@@ -188,13 +161,9 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     triple has t1 < t2 < t3; the witness is the first scored triple of least
     slack (the first NaN slack, if any). Violation threshold is STRICT_TOL * L.
 
-    The draws depend only on (N, n_triples, seed). When n_triples is at most
-    TABLE_TRIPLES and the N x N chord table is no larger than the chords the
-    triples ask for (N^2 <= 2 n_triples), the draws of the last key are kept
-    as table indices (0.3 MB at N = 200, 0.8 MB at most) and each call builds
-    the table (1.6 MB at most). Otherwise each stratum is scored from its own
-    chords before the next is drawn: a call keeps nothing and holds under 1 MB
-    at 100 000 triples at any N. Both paths give the same slacks bit for bit.
+    The draws depend only on (N, n_triples, seed). Each stratum is scored
+    from its own chords before the next is drawn, so a call keeps nothing
+    and holds under 1 MB at 100 000 triples at any N.
     """
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
@@ -202,14 +171,8 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     if n < 3:
         raise ValueError(f"the metric check needs at least 3 samples, got {n}")
     t, P = curve.params, curve.points
-    if n_triples <= TABLE_TRIPLES and n * n <= 2 * n_triples:
-        strata = _triple_plan(n, n_triples, seed)
-        least = functools.partial(_least_in_table, _chord_table(P))
-    else:
-        least = functools.partial(_least_by_chords, P)
-        strata = _strata(n, n_triples, seed)
     # map lets go of a stratum once it is scored, before the next is drawn
-    chunks = list(map(least, strata))
+    chunks = list(map(functools.partial(_least_by_chords, P), _strata(n, n_triples, seed)))
     # argmin over the stratum minima keeps argmin's rule over all triples: the
     # first NaN, else the first least slack
     slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
@@ -217,18 +180,7 @@ def check_self_contracted_metric(curve: Curve, n_triples: int,
     level = (ContractLevel.NOT_SELF_CONTRACTED if slack < -tol
              else ContractLevel.SELF_CONTRACTED)
     worst = tuple(float(t[m]) for m in triple) + (float(slack),)
-    return ContractReport(level=level, c0=0.0, worst_pair=None,
-                          worst_triple=worst, tol=tol)
-
-
-def _least_in_table(table, stratum):
-    """(slack, i, j, k) of a stratum's first least slack, scored from the chord table."""
-    ik, jk = stratum
-    slack = table.take(ik)
-    slack -= table.take(jk)
-    w = int(np.argmin(slack))
-    i, k = divmod(int(ik[w]), len(table))
-    return slack[w], i, int(jk[w]) // len(table), k
+    return MetricReport(level=level, worst_triple=worst, tol=tol)
 
 
 def _least_by_chords(P, stratum):
@@ -240,14 +192,39 @@ def _least_by_chords(P, stratum):
     return slack[w], i[w], j[w], k[w]
 
 
+def check_tangents(curve: Curve) -> None:
+    """Raise InconsistentTangents unless the tangent columns integrate to the points.
+
+    On a cell of width h_k = t_(k+1) - t_k where the tangent is H-Lipschitz,
+    the trapezoid rule for P = int T errs by at most H h_k^2 / 2, so every
+    cell must satisfy
+    |P_(k+1) - P_k - h_k (T_k + T_(k+1)) / 2| <= H h_k^2 / 2 + STRICT_TOL h_k,
+    with H the safety-inflated adjacent-tangent estimate of
+    ``holder_seminorm(curve, 1.0)``. The error names the first failing sample.
+    H comes from the same tangents, so a lone bad tangent, whose kink raises
+    H, can pass; tangents that are off along a stretch of samples fail.
+    """
+    t, P, T = curve.params, curve.points, curve.tangents
+    h = np.diff(t)
+    lip = holder_seminorm(curve, 1.0).holder_seminorm
+    defect = np.diff(P, axis=0)
+    defect -= (0.5 * h)[:, None] * (T[:-1] + T[1:])
+    residual = np.linalg.norm(defect, axis=1)
+    bound = 0.5 * lip * h * h + STRICT_TOL * h
+    bad = np.flatnonzero(~(residual <= bound))
+    if len(bad):
+        k = bad[0]
+        raise InconsistentTangents(
+            f"tangent check failed at sample {k} (t = {t[k]:.6g}): trapezoid "
+            f"residual {residual[k]:.3g} exceeds its bound {bound[k]:.3g}; the "
+            f"tangent columns disagree with the points")
+
+
 def classify(curve: Curve) -> ContractReport:
-    """Full hierarchy decision: metric cross-check, pairwise level (STRICT_TOL), c0."""
-    metric = check_self_contracted_metric(curve, METRIC_TRIPLES)
-    strong = upgrade_uniform(check_strong(curve))
-    # the metric cross-check can only veto; the pairwise scan sets the level
-    if metric.level == ContractLevel.NOT_SELF_CONTRACTED:
-        strong = replace(strong, level=ContractLevel.NOT_SELF_CONTRACTED, c0=0.0)
-    return replace(strong, worst_triple=metric.worst_triple)
+    """Full hierarchy decision: tangent check, pairwise level (STRICT_TOL), c0."""
+    require_samples(curve.n_samples)
+    check_tangents(curve)
+    return upgrade_uniform(check_strong(curve))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ class InsufficientRegularity(ContractFlowError):
     """Finite-difference derivative estimates diverge under grid refinement."""
 
 
+class InconsistentTangents(ContractFlowError):
+    """The tangent columns of a curve are not the derivative of its points."""
+
+
 class NotStronglyContracted(ContractFlowError):
     """Operation requires a strongly self-contracted curve."""
 

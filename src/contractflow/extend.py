@@ -183,7 +183,8 @@ class ConvexExtension:
         return len(self.values)
 
     def piece_values(self, x: np.ndarray) -> np.ndarray:
-        p = np.asarray(x, dtype=float) @ self.gradients.T
+        # a contiguous point: matmul rounds a strided one by another loop
+        p = np.ascontiguousarray(x, dtype=float) @ self.gradients.T
         p += self.offsets
         return p
 

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from contractflow import contract, extend, flow, repar
+from contractflow import contract, curve as curve_mod, extend, flow, repar
 from contractflow.cli import PipelineConfig, _jsonable, main
 
 
@@ -453,15 +453,29 @@ class TestCurveInput:
         assert res.stderr.startswith("curve stage failed: malformed curve document")
 
 
+    @pytest.mark.parametrize("name", ["bisector_spiral", "rotated_arc"])
+    def test_tangents_off_the_points_fail_the_contract_stage(self, runner, tmp_path,
+                                                             request, name):
+        # both pass the pairwise scan; the tangent check names sample 0
+        csv = tmp_path / "bad.csv"
+        curve_mod.save_csv(request.getfixturevalue(name), csv)
+        res = runner.invoke(main, ["run", "--input", str(csv)])
+        assert res.exit_code == 3
+        stage = json.loads(res.stdout)["stages"][-1]
+        assert stage["name"] == "contract" and not stage["passed"]
+        assert stage["data"]["error"].startswith("tangent check failed at sample 0 (t = 0): ")
+        res = runner.invoke(main, ["check", "--input", str(csv)])
+        assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("contract stage failed: tangent check failed at sample 0 ")
+        assert res.stderr.count("\n") == 1 and res.stdout == ""
+
 class TestReportSerialization:
     def test_contract_report(self):
         rep = contract.ContractReport(
             level=contract.ContractLevel.STRONGLY, c0=0.5,
-            worst_pair=(0.25, 0.75, np.float64(0.5)), worst_triple=(0.0, 0.5, 1.0, 0.0),
-            tol=1e-9)
+            worst_pair=(0.25, 0.75, np.float64(0.5)), tol=1e-9)
         assert _jsonable(rep) == {"level": "strongly", "c0": 0.5,
-                                  "worst_pair": [0.25, 0.75, 0.5],
-                                  "worst_triple": [0.0, 0.5, 1.0, 0.0], "tol": 1e-9}
+                                  "worst_pair": [0.25, 0.75, 0.5], "tol": 1e-9}
 
     def test_plan_drops_evaluators_and_infinite_T(self):
         def ev(t, *rest, out=None):
@@ -481,7 +495,7 @@ class TestReportSerialization:
 
     _KEYS = {
         "curve": {"dim", "length", "n_samples", "source"},
-        "contract": {"c0", "level", "tol", "worst_pair", "worst_triple"},
+        "contract": {"c0", "level", "tol", "worst_pair"},
         "repar": {"holds", "kind", "margin", "worst_pair"},
         "extend": {"condition_C", "condition_CW1"},
         "flow": {"eps", "final_speed", "grad_evals", "hausdorff", "horizon",

@@ -6,8 +6,8 @@ import pytest
 import contractflow as cf
 from contractflow import contract
 from contractflow.cli import _jsonable
-from contractflow.contract import ContractLevel, ContractReport
-from contractflow.errors import BoundViolated, NotStronglyContracted
+from contractflow.contract import ContractLevel, MetricReport
+from contractflow.errors import BoundViolated, InconsistentTangents, NotStronglyContracted
 
 
 class TestMetricCheck:
@@ -84,8 +84,7 @@ def _sampled_metric_reference(curve, n_triples, seed=0, tol_factor=1e-9):
     level = (ContractLevel.NOT_SELF_CONTRACTED if slack[w] < -tol
              else ContractLevel.SELF_CONTRACTED)
     worst = tuple(float(t[idx]) for idx in triples[w]) + (float(slack[w]),)
-    return ContractReport(level=level, c0=0.0, worst_pair=None,
-                          worst_triple=worst, tol=tol)
+    return MetricReport(level=level, worst_triple=worst, tol=tol)
 
 
 def _random_walk_curve(n, d, seed):
@@ -215,7 +214,62 @@ class TestClassify:
         assert doc["level"] == "uniformly_strongly"
         assert doc["c0"] == pytest.approx(0.9)
         assert doc["worst_pair"] == list(rep.worst_pair)
-        assert set(doc) == {"level", "c0", "worst_pair", "worst_triple", "tol"}
+        assert set(doc) == {"level", "c0", "worst_pair", "tol"}
+
+
+def _spd_orbit(seed, n_resample):
+    """An orbit of x' = -A x, A SPD, sampled in closed form and resampled by from_samples."""
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.1, 10.0, size=2)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    x0 = rng.normal(size=2)
+    times = np.linspace(0.0, 2.0 / lams.min(), 400)
+    raw = (q * np.exp(-np.outer(times, lams))[:, None, :]) @ (q.T @ x0)
+    return cf.from_samples(raw, n_resample)
+
+
+class TestCheckTangents:
+    def test_built_in_curves_pass(self, segment, quarter_circle, half_circle,
+                                  spiral_01, spiral_05):
+        curves = [segment, quarter_circle, half_circle, spiral_01, spiral_05,
+                  cf.make_circle_arc(3.5, 1000), cf.make_circle_arc(2.5, 200, 2.0),
+                  cf.make_circle_arc(np.pi / 2, 5000), cf.make_log_spiral(0.5, 4 * np.pi, 400),
+                  cf.make_arc_chain([1.0, -2.0, 0.5], [0.5, 0.3, 1.0], 300)]
+        for crv in curves:
+            contract.check_tangents(crv)  # must not raise
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_sampled_spd_orbits_pass(self, n):
+        for seed in range(5):
+            contract.check_tangents(_spd_orbit(seed, n))  # must not raise
+
+    def test_bisector_tangents_fail_at_sample_0(self, bisector_spiral):
+        # the pairwise form holds strictly on these tangents, yet the points
+        # are those of a spiral that is not self-contracted
+        assert cf.check_strong(bisector_spiral).level == ContractLevel.STRONGLY
+        assert (cf.check_self_contracted_metric(bisector_spiral, 100_000).level
+                == ContractLevel.NOT_SELF_CONTRACTED)
+        with pytest.raises(InconsistentTangents, match=r"tangent check failed at sample 0 "):
+            cf.classify(bisector_spiral)
+
+    def test_rotated_tangents_fail(self, rotated_arc):
+        assert cf.check_strong(rotated_arc).level == ContractLevel.STRONGLY
+        with pytest.raises(InconsistentTangents,
+                           match=r"^tangent check failed at sample 0 \(t = 0\): trapezoid "
+                                 r"residual \S+ exceeds its bound \S+; the tangent columns "
+                                 r"disagree with the points$"):
+            cf.classify(rotated_arc)
+
+    def test_names_the_first_failing_sample(self, quarter_circle):
+        # the tangents from sample 57 on turned by 0.3 rad: the jump into
+        # sample 57 raises H enough to pass cell 56, and cell 57 fails
+        T = quarter_circle.tangents.copy()
+        c, s = np.cos(0.3), np.sin(0.3)
+        T[57:] = T[57:] @ np.array([[c, s], [-s, c]])
+        crv = cf.Curve(params=quarter_circle.params, points=quarter_circle.points, tangents=T)
+        t57 = quarter_circle.params[57]
+        with pytest.raises(InconsistentTangents, match=rf"at sample 57 \(t = {t57:.6g}\)"):
+            contract.check_tangents(crv)
 
 
 class TestTaylorBound:
@@ -249,7 +303,7 @@ class TestTaylorBound:
 
 
 # ---------------------------------------------------------------------------
-# the cached triples and the chord table against the masked reference
+# the per-stratum chords against the masked reference
 
 def _assert_matches_reference(crv, n_triples, seed):
     assert (repr(cf.check_self_contracted_metric(crv, n_triples, seed=seed))
@@ -262,30 +316,12 @@ class TestCachedMetricTriples:
                                               (255, 100_000), (256, 100_000), (200, 100_001)])
     @pytest.mark.parametrize("d", [2, 3, 9])
     def test_both_sides_of_the_table_rule(self, n, n_triples, d):
-        # 447^2 <= 200 000 < 448^2: the table scores the first, the chords the
-        # second; more than TABLE_TRIPLES triples always take the chords
         for seed in (0, 1):
-            crv = _random_walk_curve(n, d, seed)
-            before = contract._triple_plan.cache_info()
-            _assert_matches_reference(crv, n_triples, seed)
-            used_table = contract._triple_plan.cache_info() != before
-            assert used_table == (n_triples <= 100_000 and n * n <= 2 * n_triples)
-
-    def test_repeated_calls_hit_the_cache(self):
-        # the cache keeps the last key only
-        contract._triple_plan.cache_clear()
-        curves = [_random_walk_curve(200, 2, s) for s in (0, 1)]
-        for seed in (0, 1):
-            for _ in range(3):
-                for crv in curves:
-                    _assert_matches_reference(crv, 100_000, seed)
-        info = contract._triple_plan.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 10, 1)
+            _assert_matches_reference(_random_walk_curve(n, d, seed), n_triples, seed)
 
     def test_many_triples_keep_nothing(self):
-        # 10^6 triples at N = 200 pass N^2 <= 2 n_triples, but they are scored
-        # one stratum at a time and no plan (4 MB) is kept after the call
-        contract._triple_plan.cache_clear()
+        # 10^6 triples at N = 200 are scored one stratum at a time and
+        # nothing outlives the call
         crv = _random_walk_curve(200, 2, 0)
         tracemalloc.start()
         try:
@@ -293,25 +329,13 @@ class TestCachedMetricTriples:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert contract._triple_plan.cache_info().currsize == 0
         assert kept < 100_000
-        assert peak < 8_000_000  # one stratum of 125 000 draws, 7.1 MB as before the cache
+        assert peak < 8_000_000  # one stratum of 125 000 draws, 7.1 MB
         assert repr(rep) == repr(_sampled_metric_reference(crv, 1_000_000))
-
-    @pytest.mark.parametrize("n, dtype", [(15, np.uint8), (16, np.uint8), (200, np.uint16),
-                                          (255, np.uint16), (256, np.uint16), (447, np.uint32)])
-    def test_cached_plan_is_read_only_and_under_1mb(self, n, dtype):
-        # the largest index is n^2 - 1: 255 at N = 16, 65 535 at N = 256
-        plan = contract._triple_plan(n, 100_000, 0)
-        assert sum(a.nbytes for stratum in plan for a in stratum) < 1_000_000
-        for stratum in plan:
-            for a in stratum:
-                assert a.dtype == dtype and not a.flags.writeable
 
     @pytest.mark.parametrize("n", [200, 600])
     def test_nan_points(self, n):
-        # planted overflowing points give inf chords and NaN slacks, in the
-        # table at N = 200 and in the per-stratum chords at N = 600
+        # planted overflowing points give inf chords and NaN slacks
         for seed in (0, 1):
             crv = _random_walk_curve(n, 2, seed)
             P = crv.points.copy()
@@ -329,7 +353,7 @@ class TestCachedMetricTriples:
         # one triple there is, (0, 1, 2), under every seed
         P = np.array([[-1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 0.0]])
         crv = cf.Curve(params=[0.0, 1.0, 2.0], points=P, tangents=[[1.0, 0.0]] * 3)
-        for n_triples in (7, 1):  # the table, then the chords
+        for n_triples in (7, 1):
             for seed in range(8):
                 with np.errstate(over="ignore"):
                     rep = cf.check_self_contracted_metric(crv, n_triples, seed=seed)
@@ -340,8 +364,7 @@ class TestCachedMetricTriples:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_tiny_curves_witness_a_scored_triple(self, n):
         # at N = 3-10 most draws run past the last sample and some strata have
-        # none that land; the table scores N = 3 from 5 triples on, N = 4 from
-        # 8 and N <= 10 at 50. Three curves: a random walk; the walk with one
+        # none that land. Three curves: a random walk; the walk with one
         # point near the float64 limit, whose chords overflow (slacks NaN or
         # +-inf); and a line of steps 1e154, where a chord of one step is
         # finite and every longer one overflows, so a triple with k = j + 1
@@ -366,9 +389,7 @@ class TestCachedMetricTriples:
         assert all_inf > 0
 
     def test_cold_call_memory_at_n_200(self):
-        # the plan (0.3 MB, kept) is built one stratum at a time, and the
-        # 200 x 200 table is 0.3 MB
-        contract._triple_plan.cache_clear()
+        # one stratum of 12 500 draws at a time
         crv = cf.make_circle_arc(np.pi / 2, 200)
         tracemalloc.start()
         try:

@@ -256,6 +256,29 @@ class TestEvalGrad:
         np.testing.assert_allclose(cf.eval_grad(ext, x), want, rtol=1e-12, atol=1e-15)
 
 
+    def test_a_reversed_view_rounds_as_its_copy(self, circle_jet):
+        # matmul takes another loop for a negative-stride point; the values,
+        # gradients and flows of x[::-1] and of its copy must agree bitwise
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 300)), int(rng.integers(2, 4))
+            ext = cf.ConvexExtension(anchors=rng.standard_normal((n, d)),
+                                     values=rng.standard_normal(n),
+                                     gradients=rng.standard_normal((n, d)),
+                                     smoothing_eps=float(rng.choice([0.0, 1e-2, 1.0])))
+            x = rng.standard_normal(d)
+            view, copy = x[::-1], x[::-1].copy()
+            assert np.asarray(cf.eval_f(ext, view)).tobytes() == np.asarray(
+                cf.eval_f(ext, copy)).tobytes()
+            assert cf.eval_grad(ext, view).tobytes() == cf.eval_grad(ext, copy).tobytes()
+        ext = cf.build_extension(circle_jet, smoothing_eps=1e-2)
+        times = np.linspace(0.0, 1.0, 11)
+        for x in rng.uniform(-0.5, 1.5, size=(20, 2)):
+            view, copy = x[::-1], x[::-1].copy()
+            got = cf.flow.sample_states(ext, view, times).states
+            assert got.tobytes() == cf.flow.sample_states(ext, copy, times).states.tobytes()
+
+
 class TestExtensionInvariants:
     def test_subgradient_property(self, circle_jet):
         ext = cf.build_extension(circle_jet, smoothing_eps=0.0)
