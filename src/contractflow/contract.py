@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._scan import mask_lower, pair_gaps, pairwise_min, scratch, tangent_chord
-from .curve import Curve, RegularityEstimate, holder_seminorm, require_samples
+from .curve import UNIT_TANGENT_TOL, Curve, RegularityEstimate, require_samples
 from .errors import BoundViolated, InconsistentTangents, NotStronglyContracted
 
 STRICT_TOL = 1e-9
@@ -195,29 +195,37 @@ def _least_by_chords(P, stratum):
 def check_tangents(curve: Curve) -> None:
     """Raise InconsistentTangents unless the tangent columns integrate to the points.
 
-    On a cell of width h_k = t_(k+1) - t_k where the tangent is H-Lipschitz,
-    the trapezoid rule for P = int T errs by at most H h_k^2 / 2, so every
-    cell must satisfy
-    |P_(k+1) - P_k - h_k (T_k + T_(k+1)) / 2| <= H h_k^2 / 2 + STRICT_TOL h_k,
-    with H the safety-inflated adjacent-tangent estimate of
-    ``holder_seminorm(curve, 1.0)``. The error names the first failing sample.
-    H comes from the same tangents, so a lone bad tangent, whose kink raises
-    H, can pass; tangents that are off along a stretch of samples fail.
+    The trapezoid rule summed over the cells from sample 0 must reach every
+    sample: with h_m = t_(m+1) - t_m,
+    |P_(k+1) - P_0 - sum_(m <= k) h_m (T_m + T_(m+1)) / 2|
+        <= sum_(m <= k) H_m h_m^2 / 2 + eps (t_(k+1) + L) + 4 ulp(max |P|).
+    H_m h_m^2 / 2 bounds the trapezoid error on cell m for an H_m-Lipschitz
+    tangent, with H_m = 1.25 ||T_(m+1) - T_m|| / h_m, the cell's
+    adjacent-tangent quotient under the safety factor of ``holder_seminorm``.
+    eps = UNIT_TANGENT_TOL, the norm error a Curve admits in its tangents, is
+    granted to the tangents along the arc length and, times L, to the rounding
+    of the points and parameters, so a file written to 6 digits passes. Summed
+    from sample 0, rounding of the points does not add up over the cells, while
+    tangents that are off along a stretch do, at any sampling density. The
+    error names the sample that starts the first failing cell. A lone bad
+    tangent, whose kink raises the bound of its two cells, can pass.
     """
     t, P, T = curve.params, curve.points, curve.tangents
     h = np.diff(t)
-    lip = holder_seminorm(curve, 1.0).holder_seminorm
-    defect = np.diff(P, axis=0)
-    defect -= (0.5 * h)[:, None] * (T[:-1] + T[1:])
-    residual = np.linalg.norm(defect, axis=1)
-    bound = 0.5 * lip * h * h + STRICT_TOL * h
+    miss = P[1:] - P[0]
+    miss -= np.cumsum((0.5 * h)[:, None] * (T[:-1] + T[1:]), axis=0)
+    kink = np.diff(T, axis=0)
+    residual = np.sqrt(np.einsum("ij,ij->i", miss, miss))
+    bound = np.cumsum(0.5 * 1.25 * np.sqrt(np.einsum("ij,ij->i", kink, kink)) * h)
+    bound += UNIT_TANGENT_TOL * (t[1:] + curve.length) + 4.0 * np.spacing(np.abs(P).max())
     bad = np.flatnonzero(~(residual <= bound))
     if len(bad):
         k = bad[0]
         raise InconsistentTangents(
-            f"tangent check failed at sample {k} (t = {t[k]:.6g}): trapezoid "
-            f"residual {residual[k]:.3g} exceeds its bound {bound[k]:.3g}; the "
-            f"tangent columns disagree with the points")
+            f"tangent check failed at sample {k} (t = {t[k]:.6g}): integrated from "
+            f"t = 0 to the next sample, the tangents miss the points by "
+            f"{residual[k]:.3g}, more than the bound {bound[k]:.3g}; the tangent "
+            f"columns disagree with the points")
 
 
 def classify(curve: Curve) -> ContractReport:

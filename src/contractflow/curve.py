@@ -31,6 +31,7 @@ from .errors import (
 from .numint import CumulativeTable, invert_monotone
 
 _UNIT_SPEED_TOL = 1e-9
+UNIT_TANGENT_TOL = 1e-4  # largest | ||T_i|| - 1 | a Curve admits
 
 
 class _ArcLengthMap:
@@ -116,7 +117,7 @@ class Curve:
         if np.any(np.diff(params) <= 0):
             raise ValueError("arc-length parameters must be strictly increasing")
         norms = np.linalg.norm(tangents, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-4:
+        if np.abs(norms - 1.0).max() > UNIT_TANGENT_TOL:
             raise ValueError("tangents must be unit vectors")
         for arr in (params, points, tangents):
             arr.setflags(write=False)

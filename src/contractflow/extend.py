@@ -184,7 +184,7 @@ class ConvexExtension:
 
     def piece_values(self, x: np.ndarray) -> np.ndarray:
         # a contiguous point: matmul rounds a strided one by another loop
-        p = np.ascontiguousarray(x, dtype=float) @ self.gradients.T
+        p = np.asarray(x, dtype=float, order="C") @ self.gradients.T
         p += self.offsets
         return p
 

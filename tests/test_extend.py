@@ -278,6 +278,15 @@ class TestEvalGrad:
             got = cf.flow.sample_states(ext, view, times).states
             assert got.tobytes() == cf.flow.sample_states(ext, copy, times).states.tobytes()
 
+    def test_a_scalar_is_not_a_point_of_the_line(self):
+        # a point is (d,) or (k, d) at d = 1 too; a 0-d x is refused by matmul
+        ext = cf.ConvexExtension(anchors=np.array([[0.0], [1.0]]), values=np.array([0.0, 1.0]),
+                                 gradients=np.array([[-1.0], [1.0]]), smoothing_eps=1e-2)
+        for f in (cf.eval_f, cf.eval_grad):
+            with pytest.raises(ValueError, match="matmul"):
+                f(ext, 0.5)
+            f(ext, np.array([0.5]))  # must not raise
+
 
 class TestExtensionInvariants:
     def test_subgradient_property(self, circle_jet):
