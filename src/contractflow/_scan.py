@@ -1,19 +1,23 @@
 """Row-block pair scans: one engine for every O(N^2) check.
 
 Every pair reduction (the strong-contraction product, the Hoelder seminorm
-for alpha < 1, the Taylor bounds, the (M)-inequality, the zeta hypothesis and
-the (C)/(CW1) slacks) visits rows in blocks, one after another on the calling
-thread: BLOCK = 32 rows in a scan of at least LARGE_PAIRS pairs, SMALL_BLOCK =
-64 rows below that size, where the fixed cost of each numpy call matters more
-than cache reuse. A scan thus holds O(64 x N) memory, never an N x N array.
-At alpha = 1 the Hoelder seminorm needs no scan: ``curve.holder_seminorm``
-takes it from the N - 1 adjacent pairs.
+for alpha < 1, the metric triple inequality, the Taylor bounds, the
+(M)-inequality, the zeta hypothesis and the (C)/(CW1) slacks) visits rows in
+blocks, one after another on the calling thread: BLOCK = 32 rows in a scan of
+at least LARGE_PAIRS pairs, SMALL_BLOCK = 64 rows below that size, where the
+fixed cost of each numpy call matters more than cache reuse. A scan thus
+holds O(64 x N) memory, never an N x N array. At alpha = 1 the Hoelder
+seminorm needs no scan: ``curve.holder_seminorm`` takes it from the N - 1
+adjacent pairs.
 The reductions over pairs j > i alone read only the upper triangle: a block
 of rows i0:i1 has the columns j >= i0, about half the pairs of a full row
+block. The metric check carries each column's running minimum from block to
 block. The (C)/(CW1) slacks are not symmetric and read every column. Results
 are combined in block order. The block products go through
 ``block_product``, CHUNK columns at a time, which the BLAS runs on the
-calling thread, so that no report depends on the BLAS thread count.
+calling thread, so that no report depends on the BLAS thread count. The
+distances between points, for the Hoelder seminorm and the metric check,
+come from ``chord_lengths``.
 
 A block carves its working arrays with ``scratch`` out of one slab that
 ``map_blocks`` holds for the scan and sizes from what the blocks ask for:
@@ -153,3 +157,20 @@ def tangent_chord(curve, i0: int, i1: int, jmax: int | None = None) -> np.ndarra
     ip = block_product(rows, cols, scratch((i1 - i0, len(cols))))
     ip -= np.einsum("id,id->i", rows, P[i0:i1])[:, None]
     return ip
+
+
+def chord_lengths(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``|cols_j - rows_i|`` for every row point i and column point j, in a scratch buffer.
+
+    The squares are summed one coordinate at a time, in coordinate order, so
+    a chord has the same bits whichever of its two points is the row.
+    """
+    dist, diff = scratch((len(rows), len(cols))), scratch((len(rows), len(cols)))
+    for k in range(rows.shape[1]):
+        np.subtract(cols[None, :, k], rows[:, None, k], out=diff)
+        if k == 0:
+            np.multiply(diff, diff, out=dist)
+        else:
+            diff *= diff
+            dist += diff
+    return np.sqrt(dist, out=dist)

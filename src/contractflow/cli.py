@@ -314,9 +314,7 @@ def _cfg(kwargs) -> PipelineConfig:
 
 # why a stage failed when its data carries no ``error``, formatted from its data
 _STAGE_CAUSE = {"contract": "the curve is {level}, not uniformly_strongly",
-                "repar": "the (M)-inequality fails on the grid (margin {margin})",
-                "extend": "conditions (C)/(CW1) fail (min (C) slack "
-                          "{condition_C[min_slack]})"}
+                "repar": "the (M)-inequality fails on the grid (margin {margin})"}
 
 
 def _result(report: PipelineReport, key: str):

@@ -4,26 +4,25 @@ The pairwise differential form <gamma'(t), gamma(s) - gamma(t)> is the
 authoritative test for differentiable curves. ``classify`` runs it after an
 O(N) check that the tangent columns are the derivative of the points, the
 one hypothesis under which the pairwise form implies the metric triple
-inequality. The metric inequality itself is scored on a stratified random
-subsample of triples by ``check_self_contracted_metric``, a library
-cross-check that the pipeline does not run.
+inequality. ``check_self_contracted_metric`` checks that inequality itself
+on every triple of samples, in one O(N^2) pass: a library cross-check that
+the pipeline does not run.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._scan import mask_lower, pair_gaps, pairwise_min, scratch, tangent_chord
+from ._scan import (block_argmin, chord_lengths, map_blocks, mask_lower, pair_gaps,
+                    pairwise_min, scratch, tangent_chord)
 from .curve import UNIT_TANGENT_TOL, Curve, RegularityEstimate, require_samples
 from .errors import BoundViolated, InconsistentTangents, NotStronglyContracted
 
 STRICT_TOL = 1e-9
 DEFLATION = 0.9  # c0 is this share of the grid minimum of the normalized products
-N_STRATA = 8  # span strata of the metric check
 
 
 class ContractLevel(enum.Enum):
@@ -107,89 +106,44 @@ def upgrade_uniform(strong: ContractReport) -> ContractReport:
     return replace(strong, level=level, c0=c0)
 
 
-def _chord_lengths(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """||P[a] - P[b]|| row by row, bitwise equal to ``np.linalg.norm(axis=1)``.
+def check_self_contracted_metric(curve: Curve) -> MetricReport:
+    """Metric triple inequality |P_k - P_j| <= |P_k - P_i| on every triple i < j < k.
 
-    Below 8 coordinates NumPy sums the squares in coordinate order, so the
-    rows are built one coordinate at a time from 1-D gathers; from 8 on it
-    sums them pairwise, and the rows are gathered whole.
+    With D[i, k] = |P_k - P_i|, the least slack of column k is the min over
+    j < k of (min_{i < j} D[i, k]) - D[j, k]. One pass over the upper
+    triangle takes it: the inner minimum is a running minimum down each
+    column, carried from one block of rows to the next. The witness is the
+    first least slack in (j, k) order, with i the first row below j at the
+    column's minimum, recomputed by the same chord operations. Violation
+    threshold is STRICT_TOL * L. A chord that overflows raises ValueError.
     """
-    if P.shape[1] >= 8:
-        return np.linalg.norm(P.take(a, axis=0) - P.take(b, axis=0), axis=1)
-    out = None
-    for x in P.T:
-        x = np.ascontiguousarray(x)
-        diff = x.take(a)
-        diff -= x.take(b)
-        diff *= diff
-        out = diff if out is None else np.add(out, diff, out=out)
-    return np.sqrt(out, out=out)
-
-
-def _strata(n: int, n_triples: int, seed: int):
-    """The metric check's triples, one stratum at a time: ``(i, j, k)``.
-
-    8 strata of n_triples // 8 draws, each a start index and two gaps below
-    the stratum's span, then all n - 2 consecutive triples. A stratum keeps
-    the draws that land (k < n) in draw order, and one where none lands is
-    skipped. A stratum is drawn only when the one before it has been taken.
-    """
-    rng = np.random.default_rng(seed)
-    per = max(n_triples // N_STRATA, 1)
-    for s in range(N_STRATA):
-        span = max(int(n * 2.0 ** (s - N_STRATA + 1)), 3)
-        i = rng.integers(0, n - 2, size=per)
-        j = i + rng.integers(1, span, size=per)
-        k = j + rng.integers(1, span, size=per)
-        land = k < n
-        if not land.all():
-            i, j, k = i[land], j[land], k[land]
-        if len(i):
-            yield i, j, k
-    i = np.arange(n - 2)
-    yield i, i + 1, i + 2
-
-
-def check_self_contracted_metric(curve: Curve, n_triples: int,
-                                 seed: int = 0) -> MetricReport:
-    """Metric triple inequality on random triples plus all consecutive ones.
-
-    The random sample is stratified over triple spans so that both local and
-    global configurations are covered: 8 strata of n_triples // 8 draws,
-    each a start index and two gaps below the stratum's span. Draws that run
-    past the last sample are discarded as they are drawn, so every scored
-    triple has t1 < t2 < t3; the witness is the first scored triple of least
-    slack (the first NaN slack, if any). Violation threshold is STRICT_TOL * L.
-
-    The draws depend only on (N, n_triples, seed). Each stratum is scored
-    from its own chords before the next is drawn, so a call keeps nothing
-    and holds under 1 MB at 100 000 triples at any N.
-    """
-    if n_triples < 1:
-        raise ValueError("n_triples must be at least 1")
     n = curve.n_samples
     if n < 3:
         raise ValueError(f"the metric check needs at least 3 samples, got {n}")
     t, P = curve.params, curve.points
-    # map lets go of a stratum once it is scored, before the next is drawn
-    chunks = list(map(functools.partial(_least_by_chords, P), _strata(n, n_triples, seed)))
-    # argmin over the stratum minima keeps argmin's rule over all triples: the
-    # first NaN, else the first least slack
-    slack, *triple = chunks[int(np.argmin([c[0] for c in chunks]))]
+    carry = np.full(n, np.inf)  # min over i < j0 of D[i, k], for the columns k >= j0
+
+    def block(j0, j1):
+        dist = chord_lengths(P[j0:j1], P[j0:])
+        run = scratch(dist.shape)  # min over i < j of D[i, k]
+        run[0], run[1:] = carry[j0:], dist[:-1]
+        np.minimum.accumulate(run, axis=0, out=run)
+        np.minimum(run[-1, j1 - j0:], dist[-1, j1 - j0:], out=carry[j1:])
+        # an inf or NaN chord D[j, k] makes its slack -inf or NaN, argmin's pick
+        worst = block_argmin(mask_lower(np.subtract(run, dist, out=run)), j0, j0)
+        if not worst[0] > -np.inf:
+            raise ValueError("a chord of the metric check overflows float64")
+        return worst
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack, j, k = min(map_blocks(block, n))
+    column = chord_lengths(P[k:k + 1], P[:j])[0]
+    i = int(np.argmin(column))
     tol = STRICT_TOL * curve.length
     level = (ContractLevel.NOT_SELF_CONTRACTED if slack < -tol
              else ContractLevel.SELF_CONTRACTED)
-    worst = tuple(float(t[m]) for m in triple) + (float(slack),)
+    worst = (float(t[i]), float(t[j]), float(t[k]), slack)
     return MetricReport(level=level, worst_triple=worst, tol=tol)
-
-
-def _least_by_chords(P, stratum):
-    """(slack, i, j, k) of a stratum's first least slack, scored from its own chords."""
-    i, j, k = stratum
-    slack = _chord_lengths(P, i, k)
-    slack -= _chord_lengths(P, j, k)
-    w = int(np.argmin(slack))
-    return slack[w], i[w], j[w], k[w]
 
 
 def check_tangents(curve: Curve) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._scan import map_blocks, mask_lower, pair_gaps, scratch
+from ._scan import chord_lengths, map_blocks, mask_lower, pair_gaps
 from ._spline import not_a_knot
 from .errors import (
     DegenerateCurve,
@@ -416,17 +416,9 @@ def holder_seminorm(curve: Curve, alpha: float,
     t, T = curve.params, curve.tangents
 
     def block_max(i0, i1):
-        # rows i0:i1 against the columns j >= i0, one coordinate at a time
+        # rows i0:i1 against the columns j >= i0
         gaps = pair_gaps(t, i0, i1)
-        dist, diff = scratch(gaps.shape), scratch(gaps.shape)
-        for k in range(T.shape[1]):
-            np.subtract(T[None, i0:, k], T[i0:i1, None, k], out=diff)
-            if k == 0:
-                np.multiply(diff, diff, out=dist)
-            else:
-                diff *= diff
-                dist += diff
-        np.sqrt(dist, out=dist)
+        dist = chord_lengths(T[i0:i1], T[i0:])
         np.power(gaps, alpha, out=gaps)
         dist /= gaps
         return float(mask_lower(dist, -np.inf).max())

@@ -315,6 +315,7 @@ def all_checks(arc):
     endpoint = cf.endpoint_plan(arc, cf.estimate_c0(arc), 1.0 / 6.0)
     c1 = cf.holder_seminorm(arc, 0.75).c1
     return (cf.holder_seminorm(arc, 0.75), cf.check_strong(arc),
+            cf.check_self_contracted_metric(arc),
             cf.verify_M(arc, plan), cf.verify_M(arc, endpoint),
             contract._taylor_scan(arc, [(c1, 2.5), (1.0 / 6.0, 3.0)]),
             cf.check_C(cf.curve_jet(arc, plan)), cf.check_CW1(cf.curve_jet(arc, plan)))
@@ -401,16 +402,17 @@ def test_kernels_carve_from_their_slab_after_the_first_block(monkeypatch):
     def checked(shape, dtype=float):
         out = original_scratch(shape, dtype)
         scan = len(blocks) - 1
-        if blocks[scan] >= 1:
+        # scratch after a scan, for the metric check's witness column, is a fresh array
+        if blocks[scan] >= 1 and hasattr(_scan._local, "slab"):
             assert np.shares_memory(out, _scan._local.slab), (
                 f"scan {scan}, block {blocks[scan] + 1}: a scratch array of shape {shape} "
                 "is not in the slab")
             carved.add(scan)
         return out
 
-    for module in (_scan, curve, extend):
+    for module in (_scan, contract, curve, extend):
         monkeypatch.setattr(module, "map_blocks", counted)
-    for module in (_scan, contract, curve, repar, extend):
+    for module in (_scan, contract, repar, extend):
         monkeypatch.setattr(module, "scratch", checked)
     monkeypatch.setattr(extend, "CW1_TOL", 1e-3)  # (CW1) counts equality pairs
     arc = cf.make_circle_arc(1.4, 300)
@@ -421,9 +423,9 @@ def test_kernels_carve_from_their_slab_after_the_first_block(monkeypatch):
             all_checks(arc)
             repar._check_zeta_hypothesis(arc, lambda t: np.full_like(t, 10.0))
         # check_strong (twice, once for estimate_c0), the Hoelder scan (twice),
-        # verify_M (two plans), the Taylor scan, (C), (CW1) and the zeta
-        # hypothesis: 10 scans of 300 rows, 5 or more blocks each
-        assert len(blocks) == 10 and min(blocks) >= 4
+        # the metric check, verify_M (two plans), the Taylor scan, (C), (CW1)
+        # and the zeta hypothesis: 11 scans of 300 rows, 5 or more blocks each
+        assert len(blocks) == 11 and min(blocks) >= 4
         assert carved == set(range(len(blocks)))
 
 
